@@ -36,7 +36,8 @@ use crate::vertical::Aggregation;
 /// meters fit in a few GiB, accurate enough for a KS test over 16–64 bins.
 pub const DRIFT_SKETCH_K: usize = 64;
 
-/// Quantile probes per side when evaluating the KS statistic.
+/// Divisions of the KS statistic's quantile grid: each side is probed at
+/// `q = i / KS_GRID` for `i` in `0..=KS_GRID`, 65 probes per side.
 const KS_GRID: usize = 64;
 
 /// Two-sample distribution-shift detector over streaming quantile sketches:
@@ -86,12 +87,7 @@ impl DriftDetector {
         if reference.is_empty() {
             return Err(Error::EmptyInput("DriftDetector reference"));
         }
-        if window_size < 2 {
-            return Err(Error::InvalidParameter {
-                name: "window_size",
-                reason: "must be at least 2".to_string(),
-            });
-        }
+        check_window(window_size)?;
         Ok(DriftDetector {
             reference,
             prev: QuantileSketch::new(DRIFT_SKETCH_K)?,
@@ -136,20 +132,22 @@ impl DriftDetector {
 
     /// Two-sample KS distance between the reference and the recent window
     /// (`None` until the window fills), evaluated on a quantile probe grid
-    /// drawn from both distributions.
+    /// drawn from both distributions. Each sketch is sorted once per call;
+    /// the grid's quantile and rank queries are binary searches.
     pub fn statistic(&self) -> Option<f64> {
         if !self.window_full() {
             return None;
         }
-        let win = self.window_sketch();
-        let n_ref = self.reference.count() as f64;
+        let reference = self.reference.sorted_view();
+        let win = self.window_sketch().sorted_view();
+        let n_ref = reference.count() as f64;
         let n_win = win.count() as f64;
         let mut d: f64 = 0.0;
         for i in 0..=KS_GRID {
             let q = i as f64 / KS_GRID as f64;
-            for x in [self.reference.quantile(q), win.quantile(q)] {
+            for x in [reference.quantile(q), win.quantile(q)] {
                 let x = x.expect("both sketches are non-empty");
-                let f_ref = self.reference.rank(x) as f64 / n_ref;
+                let f_ref = reference.rank(x) as f64 / n_ref;
                 let f_win = win.rank(x) as f64 / n_win;
                 d = d.max((f_ref - f_win).abs());
             }
@@ -171,6 +169,30 @@ impl DriftDetector {
     pub fn sketch_bytes(&self) -> usize {
         self.reference.memory_bytes() + self.prev.memory_bytes() + self.cur.memory_bytes()
     }
+}
+
+/// Rejects a drift threshold outside `(0, 1]`, the range of the KS
+/// distance, NaN included: at or below 0 every reading is over the
+/// threshold, and above 1 none is.
+pub(crate) fn check_threshold(threshold: f64) -> Result<()> {
+    if !(0.0..=1.0).contains(&threshold) || threshold == 0.0 {
+        return Err(Error::InvalidParameter {
+            name: "threshold",
+            reason: format!("must be in (0, 1], got {threshold}"),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects a detection window shorter than 2 samples.
+pub(crate) fn check_window(window_size: usize) -> Result<()> {
+    if window_size < 2 {
+        return Err(Error::InvalidParameter {
+            name: "window_size",
+            reason: "must be at least 2".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Statistics of one adaptive-encoding run; the `"adaptive"` stats block of
@@ -271,12 +293,7 @@ impl AdaptiveEncoder {
         threshold: f64,
         window_size: usize,
     ) -> Result<Self> {
-        if !(0.0..=1.0).contains(&threshold) || threshold == 0.0 {
-            return Err(Error::InvalidParameter {
-                name: "threshold",
-                reason: format!("must be in (0, 1], got {threshold}"),
-            });
-        }
+        check_threshold(threshold)?;
         let alphabet = table.alphabet();
         Ok(AdaptiveEncoder {
             encoder: OnlineEncoder::new(table, window_secs, aggregation)?,

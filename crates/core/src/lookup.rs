@@ -104,8 +104,9 @@ impl LookupTable {
             return Err(Error::EmptyInput("learn_from_sketch"));
         }
         let k = alphabet.size();
-        let lo = sketch.quantile(0.0).expect("non-empty sketch");
-        let hi = sketch.quantile(1.0).expect("non-empty sketch");
+        let view = sketch.sorted_view();
+        let lo = view.quantile(0.0).expect("non-empty sketch");
+        let hi = view.quantile(1.0).expect("non-empty sketch");
         if !(lo.is_finite() && hi.is_finite()) {
             return Err(Error::InvalidParameter {
                 name: "sketch",
@@ -117,7 +118,7 @@ impl LookupTable {
             let s = match method {
                 SeparatorMethod::Uniform => lo + (hi - lo) * j as f64 / k as f64,
                 SeparatorMethod::Median | SeparatorMethod::DistinctMedian => {
-                    sketch.quantile(j as f64 / k as f64).expect("non-empty sketch")
+                    view.quantile(j as f64 / k as f64).expect("non-empty sketch")
                 }
             };
             let s = match separators.last() {
@@ -132,11 +133,11 @@ impl LookupTable {
         t.value_max = hi.max(t.separators[k - 2]);
 
         // Rank-mass boundaries per bin (monotone by construction).
-        let total = sketch.count();
+        let total = view.count();
         let mut cum = Vec::with_capacity(k + 1);
         cum.push(0u64);
         for i in 0..k - 1 {
-            let r = sketch.rank(t.separators[i]).min(total);
+            let r = view.rank(t.separators[i]).min(total);
             cum.push(r.max(cum[i]));
         }
         cum.push(total);
@@ -144,7 +145,7 @@ impl LookupTable {
             t.bin_counts[i] = cum[i + 1] - cum[i];
             t.bin_means[i] = if t.bin_counts[i] > 0 {
                 let mid = (cum[i] + cum[i + 1]) as f64 / 2.0 / total as f64;
-                let m = sketch.quantile(mid).expect("non-empty sketch");
+                let m = view.quantile(mid).expect("non-empty sketch");
                 m.max(t.lower_edge(i)).min(t.upper_edge(i))
             } else {
                 t.center_of_bin(i)

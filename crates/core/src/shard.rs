@@ -42,7 +42,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::adaptive::{AdaptiveStats, DriftDetector};
+use crate::adaptive::{check_threshold, check_window, AdaptiveStats, DriftDetector};
 use crate::engine::{QuarantineReason, Quarantined};
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
@@ -420,8 +420,17 @@ pub struct ShardedFleetEngine {
 
 impl ShardedFleetEngine {
     /// An engine over `builder`'s codec with `config`'s topology.
+    ///
+    /// Errors with [`Error::InvalidParameter`] on zero shards, and on a
+    /// [`DriftConfig`] that
+    /// [`AdaptiveEncoder::new`](crate::adaptive::AdaptiveEncoder::new) would
+    /// reject too: a `threshold` outside `(0, 1]` or a `window` below 2.
     pub fn new(builder: CodecBuilder, config: ShardedEngineConfig) -> Result<Self> {
         let router = ShardRouter::new(config.shards)?;
+        if let Some(drift) = config.drift {
+            check_threshold(drift.threshold)?;
+            check_window(drift.window)?;
+        }
         let caches =
             (0..config.shards).map(|_| TableCache::new(config.table_cache_capacity)).collect();
         Ok(ShardedFleetEngine {
@@ -941,6 +950,28 @@ mod tests {
             b2.series.iter().zip(&f2.series).any(|(a, b)| a.symbols() != b.symbols()),
             "cutover produced the same symbols as the stale table"
         );
+    }
+
+    #[test]
+    fn engine_rejects_invalid_drift_config() {
+        let engine = |threshold, window| {
+            let cfg = ShardedEngineConfig::with_shards(4).drift(DriftConfig { threshold, window });
+            ShardedFleetEngine::new(builder(), cfg)
+        };
+        // A NaN, zero or negative threshold fires on unchanged data, one
+        // above 1 never fires, and a window below 2 leaves every house
+        // untracked: each is a typed error, not a silently wrong detector.
+        for (threshold, window) in
+            [(f64::NAN, 64), (0.0, 64), (-1.0, 64), (1.5, 64), (0.3, 0), (0.3, 1)]
+        {
+            assert!(
+                matches!(engine(threshold, window), Err(Error::InvalidParameter { .. })),
+                "threshold {threshold}, window {window} must be rejected"
+            );
+        }
+        for (threshold, window) in [(0.3, 64), (1.0, 2), (f64::MIN_POSITIVE, 512)] {
+            assert!(engine(threshold, window).is_ok(), "threshold {threshold}, window {window}");
+        }
     }
 
     #[test]

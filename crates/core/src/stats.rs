@@ -510,6 +510,15 @@ impl QuantileSketch {
         self.err_bound
     }
 
+    /// The retained items as `(value, weight)` pairs, level by level and
+    /// unsorted; the weights sum to [`count`](Self::count).
+    pub fn retained(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.levels
+            .iter()
+            .enumerate()
+            .flat_map(|(l, level)| level.iter().map(move |&v| (v, 1u64 << l)))
+    }
+
     /// Approximate number of stream values `<= v` (weighted item count).
     pub fn rank(&self, v: f64) -> u64 {
         let mut r = 0u64;
@@ -522,27 +531,25 @@ impl QuantileSketch {
 
     /// Approximate `q`-quantile for `q` in `[0, 1]` (`None` when empty):
     /// the smallest retained value whose cumulative weight reaches
-    /// `ceil(q * count)`.
+    /// `ceil(q * count)`. Sorts the retained items on every call; callers
+    /// with several queries should ask one [`sorted_view`](Self::sorted_view).
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let mut pairs: Vec<(f64, u64)> = Vec::new();
-        for (l, items) in self.levels.iter().enumerate() {
-            let w = 1u64 << l;
-            pairs.extend(items.iter().map(|&v| (v, w)));
-        }
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
+        self.sorted_view().quantile(q)
+    }
+
+    /// The retained items sorted once, answering [`rank`](Self::rank) and
+    /// [`quantile`](Self::quantile) by binary search with the same results.
+    pub fn sorted_view(&self) -> SketchView {
+        let mut items: Vec<(f64, u64)> = self.retained().collect();
+        // Items that compare equal under `total_cmp` have identical bits, so
+        // their order changes neither a rank nor the value a quantile returns.
+        items.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let mut cum = 0u64;
-        for (v, w) in &pairs {
-            cum += w;
-            if cum >= target {
-                return Some(*v);
-            }
+        for item in &mut items {
+            cum += item.1;
+            item.1 = cum;
         }
-        pairs.last().map(|(v, _)| *v)
+        SketchView { items, count: self.count }
     }
 
     /// Bytes of heap + inline state currently held (the O(log n) budget the
@@ -551,6 +558,41 @@ impl QuantileSketch {
         std::mem::size_of::<Self>()
             + self.levels.iter().map(|l| l.capacity() * std::mem::size_of::<f64>()).sum::<usize>()
             + self.levels.capacity() * std::mem::size_of::<Vec<f64>>()
+    }
+}
+
+/// A [`QuantileSketch`]'s retained items sorted by `total_cmp`, each paired
+/// with the running weight up to and including it (see
+/// [`QuantileSketch::sorted_view`]). A snapshot: later updates to the sketch
+/// do not show in it.
+#[derive(Debug)]
+pub struct SketchView {
+    /// `(value, cumulative weight)` in `total_cmp` order of the values.
+    items: Vec<(f64, u64)>,
+    count: u64,
+}
+
+impl SketchView {
+    /// Number of stream values the sketch had folded in.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// [`QuantileSketch::rank`]: approximate number of stream values `<= v`.
+    pub fn rank(&self, v: f64) -> u64 {
+        match self.items.partition_point(|(x, _)| x.total_cmp(&v).is_le()) {
+            0 => 0,
+            i => self.items[i - 1].1,
+        }
+    }
+
+    /// [`QuantileSketch::quantile`]: the smallest retained value whose
+    /// cumulative weight reaches `ceil(q * count)` (`None` when empty).
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let q = q.clamp(0.0, 1.0);
+        let target = ((q * self.count as f64).ceil() as u64).max(1);
+        let i = self.items.partition_point(|&(_, cum)| cum < target);
+        self.items.get(i).or(self.items.last()).map(|&(v, _)| v)
     }
 }
 

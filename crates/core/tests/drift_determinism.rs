@@ -1,11 +1,13 @@
 //! Drift-path guarantees: the streaming quantile sketch stays within its
 //! provable rank-error bound on adversarial streams (constant runs,
-//! ±∞-adjacent values, heavy duplicates), and epoch-versioned encodings
-//! survive a store round trip — segments written under different epochs
-//! decode independently from one persisted image, byte-identically at every
-//! worker count.
+//! ±∞-adjacent values, heavy duplicates), its sorted view and the KS drift
+//! statistic built on it answer bit-identically to the original
+//! sort-per-query code, and epoch-versioned encodings survive a store round
+//! trip — segments written under different epochs decode independently from
+//! one persisted image, byte-identically at every worker count.
 
 use proptest::prelude::*;
+use sms_core::adaptive::{DriftDetector, DRIFT_SKETCH_K};
 use sms_core::pipeline::CodecBuilder;
 use sms_core::segstore::SegmentStore;
 use sms_core::separators::SeparatorMethod;
@@ -41,8 +43,203 @@ fn adversarial_stream() -> impl Strategy<Value = Vec<f64>> {
     )
 }
 
+/// [`adversarial_stream`] with runs spliced in: constant `+0.0`, constant
+/// `-0.0`, alternating signed zeros, and repeats of a value already in the
+/// stream.
+fn drift_stream() -> impl Strategy<Value = Vec<f64>> {
+    (adversarial_stream(), prop::collection::vec((0u8..4, 0usize..500, 1usize..150), 0..4))
+        .prop_map(|(mut values, runs)| {
+            for (tag, at, len) in runs {
+                let repeated = values[at % values.len()];
+                let run: Vec<f64> = (0..len)
+                    .map(|i| match tag {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 if i % 2 == 0 => 0.0,
+                        2 => -0.0,
+                        _ => repeated,
+                    })
+                    .collect();
+                let at = at.min(values.len());
+                values.splice(at..at, run);
+            }
+            values
+        })
+}
+
+fn sketch_of(values: &[f64], k: usize) -> QuantileSketch {
+    let mut sk = QuantileSketch::new(k).unwrap();
+    for &v in values {
+        sk.update(v).unwrap();
+    }
+    sk
+}
+
+/// The quantile walk `QuantileSketch::quantile` ran before sorted views,
+/// kept as the reference: sort every retained item, then walk the
+/// cumulative weights up to the type-1 target.
+fn walk_quantile(sk: &QuantileSketch, q: f64) -> Option<f64> {
+    if sk.count() == 0 {
+        return None;
+    }
+    let q = q.clamp(0.0, 1.0);
+    let mut pairs: Vec<(f64, u64)> = sk.retained().collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let target = ((q * sk.count() as f64).ceil() as u64).max(1);
+    let mut cum = 0u64;
+    for (v, w) in &pairs {
+        cum += w;
+        if cum >= target {
+            return Some(*v);
+        }
+    }
+    pairs.last().map(|(v, _)| *v)
+}
+
+/// The KS statistic as `DriftDetector::statistic` computed it before sorted
+/// views, kept as the reference: 65 grid points per side, each a quantile
+/// walk followed by two rank scans.
+fn grid_statistic(reference: &QuantileSketch, win: &QuantileSketch) -> f64 {
+    let n_ref = reference.count() as f64;
+    let n_win = win.count() as f64;
+    let mut d: f64 = 0.0;
+    for i in 0..=64 {
+        let q = i as f64 / 64.0;
+        for x in [walk_quantile(reference, q), walk_quantile(win, q)] {
+            let x = x.expect("both sketches are non-empty");
+            let f_ref = reference.rank(x) as f64 / n_ref;
+            let f_win = win.rank(x) as f64 / n_win;
+            d = d.max((f_ref - f_win).abs());
+        }
+    }
+    d.min(1.0)
+}
+
+/// The next draw below `m` from a splitmix64 chain.
+fn draw(state: &mut u64, m: u64) -> u64 {
+    *state = splitmix64(*state);
+    *state % m
+}
+
+/// `len` values spread uniformly over a random interval within `[0, 2000)`.
+fn uniform_block(state: &mut u64, len: usize) -> Vec<f64> {
+    let lo = draw(state, 1000) as f64;
+    let width = 1.0 + draw(state, 1000) as f64;
+    (0..len).map(|_| lo + draw(state, 1000) as f64 / 1000.0 * width).collect()
+}
+
+/// Smooth streams, unlike the adversarial ones: a uniform reference block
+/// against a shifted, rescaled uniform window of 65 to 264 samples. Here the
+/// largest CDF gap often sits at a window's first or last retained item,
+/// which only the grid's `q = 0` and `q = 1` probes see.
+#[test]
+fn statistic_matches_the_grid_on_shifted_uniform_blocks() {
+    for seed in 0..300u64 {
+        let mut state = seed;
+        let training_len = 64 + draw(&mut state, 400) as usize;
+        let training = uniform_block(&mut state, training_len);
+        let window_len = 65 + draw(&mut state, 200) as usize;
+        let window = uniform_block(&mut state, window_len);
+        let reference = sketch_of(&training, DRIFT_SKETCH_K);
+        let mut det = DriftDetector::from_sketch(reference.clone(), window_len).unwrap();
+        for &v in &window {
+            det.push(v);
+        }
+        let want = grid_statistic(&reference, &det.window_sketch());
+        assert_eq!(det.statistic().map(f64::to_bits), Some(want.to_bits()), "seed {seed}");
+    }
+}
+
+/// The closest values below and above `v` in `total_cmp` order, NaN
+/// excluded.
+fn total_order_neighbours(v: f64) -> impl Iterator<Item = f64> {
+    // The order-preserving map from `total_cmp` order to u64 order.
+    let key = |x: f64| {
+        let b = x.to_bits();
+        if b >> 63 == 1 {
+            !b
+        } else {
+            b | (1 << 63)
+        }
+    };
+    let unkey = |k: u64| f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k });
+    let k = key(v);
+    [k.checked_sub(1), k.checked_add(1)].into_iter().flatten().map(unkey).filter(|x| !x.is_nan())
+}
+
+proptest! {
+    // Each case compares a few hundred statistics against the slow
+    // reference grid; debug builds run fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 16 } else { 256 }))]
+
+    /// `DriftDetector::statistic` equals, bit for bit, the 130-query grid it
+    /// replaced, after every push, at window sizes from 2 upward, before
+    /// and after a rebase.
+    #[test]
+    fn statistic_matches_the_sort_per_query_grid(
+        training in drift_stream(),
+        pushed in drift_stream(),
+        window in 2usize..300,
+        rebase_at in 0usize..600,
+    ) {
+        let mut reference = sketch_of(&training, DRIFT_SKETCH_K);
+        let mut det = DriftDetector::from_sketch(reference.clone(), window).unwrap();
+        let mut rebased = false;
+        for (i, &v) in pushed.iter().enumerate() {
+            det.push(v);
+            let want = det.window_full().then(|| grid_statistic(&reference, &det.window_sketch()));
+            prop_assert_eq!(
+                det.statistic().map(f64::to_bits),
+                want.map(f64::to_bits),
+                "push {} of {}, window {}, rebased {}", i, pushed.len(), window, rebased
+            );
+            if !rebased && i >= rebase_at && det.window_full() {
+                reference = det.window_sketch();
+                det.rebase();
+                rebased = true;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sorted view answers every rank and quantile query exactly as the
+    /// sketch's rank scan and the original quantile walk do: at every
+    /// retained value, between retained values, at every cumulative-weight
+    /// boundary and outside `[0, 1]`.
+    #[test]
+    fn sorted_view_matches_rank_scan_and_quantile_walk(
+        values in drift_stream(),
+        k in prop::sample::select(vec![2usize, 3, 8, DRIFT_SKETCH_K]),
+    ) {
+        let sk = sketch_of(&values, k);
+        let view = sk.sorted_view();
+        prop_assert_eq!(view.count(), sk.count());
+
+        let mut retained: Vec<f64> = sk.retained().map(|(v, _)| v).collect();
+        retained.sort_by(|a, b| a.total_cmp(b));
+        let mut probes = retained.clone();
+        probes.extend(retained.iter().flat_map(|&v| total_order_neighbours(v)));
+        probes.extend(retained.windows(2).map(|w| w[0] / 2.0 + w[1] / 2.0));
+        for &v in &probes {
+            prop_assert_eq!(view.rank(v), sk.rank(v), "rank({:?})", v);
+        }
+
+        let n = sk.count() as f64;
+        let mut qs: Vec<f64> = (0..=64).map(|i| i as f64 / 64.0).collect();
+        for r in retained.iter().map(|&v| sk.rank(v) as f64 / n) {
+            qs.push(r);
+            qs.extend(total_order_neighbours(r));
+        }
+        qs.extend([-1.0, 2.0, f64::NAN, f64::NEG_INFINITY, f64::INFINITY]);
+        for &q in &qs {
+            let want = walk_quantile(&sk, q).map(f64::to_bits);
+            prop_assert_eq!(view.quantile(q).map(f64::to_bits), want, "view quantile({})", q);
+            prop_assert_eq!(sk.quantile(q).map(f64::to_bits), want, "sketch quantile({})", q);
+        }
+    }
 
     /// Every rank estimate is within the sketch's own advertised bound.
     #[test]

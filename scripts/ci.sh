@@ -121,6 +121,9 @@ if [[ $quick -eq 0 ]]; then
     cargo run -q --release -p sms-bench --bin repro -- \
         validate-metrics "$metrics_tmp/drift.out"
 
+    echo "==> benchmark: perfbench's own tests, smoke runs of every workload (release)"
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "==> telemetry: OBSERVABILITY.md vs live registry"
     scripts/check_metrics_docs.sh
 fi
