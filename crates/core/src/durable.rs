@@ -7,16 +7,19 @@
 //! closes that gap with the classic WAL + checkpoint discipline:
 //!
 //! * [`Storage`] — the backend trait (`open`/`append`/`read`/`sync`/
-//!   `rename`/`truncate`/…). [`FsStorage`] implements it over `std::fs`;
-//!   [`FaultStorage`] is a deterministic in-memory double that can fail,
-//!   short-write, or tear any operation at the Nth call, so every crash
-//!   point is replayable bit-for-bit.
+//!   `rename`/`truncate`/…). [`FsStorage`] implements it over `std::fs`,
+//!   keeping one open file per name between calls; [`FaultStorage`] is a
+//!   deterministic in-memory double that can fail, short-write, or tear
+//!   any operation at the Nth call, so every crash point is replayable
+//!   bit-for-bit.
 //! * [`DurableStore`] — a [`SegmentStore`] fronted by a WAL of
-//!   length-prefixed, CRC32-checksummed records with a group-commit
-//!   fsync policy ([`DurableConfig::group_commit`]) and periodic atomic
-//!   checkpoints: temp file + checksum footer + rename + directory sync,
-//!   tracked by a generation-numbered manifest. The old generation's WAL
-//!   is dropped only **after** its successor checkpoint is durable.
+//!   length-prefixed, CRC32-checksummed records, each built from the
+//!   store's packed bytes and carrying the separator epoch when it is not
+//!   0, with a group-commit fsync policy ([`DurableConfig::group_commit`])
+//!   and periodic atomic checkpoints: temp file + checksum footer +
+//!   rename + directory sync, tracked by a generation-numbered manifest.
+//!   The old generation's WAL is dropped only **after** its successor
+//!   checkpoint is durable.
 //! * Recovery ([`DurableStore::open`]) = latest valid checkpoint + WAL
 //!   replay. A torn WAL tail is scanned, verified, and truncated at the
 //!   first bad record — a typed count in [`RecoveryReport::discarded`],
@@ -47,11 +50,13 @@
 //!    a manifest-listed generation or fall back one.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{Seek, SeekFrom, Write};
+use std::path::PathBuf;
 
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
-use crate::segstore::SegmentStore;
+use crate::segstore::{SegmentMeta, SegmentStore};
 use crate::shard::ShardRouter;
 use crate::telemetry::Registry;
 
@@ -157,42 +162,59 @@ fn io_err(op: &str, file: &str, e: std::io::Error) -> Error {
 }
 
 /// [`Storage`] over a real directory via `std::fs`.
+///
+/// Holds one open [`File`] per name it opened or wrote, and `append` and
+/// `sync` go through that handle instead of reopening the file per call.
+/// A held handle writes at its own cursor, which starts at the file's end
+/// and moves only with its own writes. So `rename`, `remove` and
+/// `truncate` drop the handles of every name they touch: after a rename
+/// the old name's handle would write into the renamed file, and after a
+/// truncate it would write past the new end. The next use of a dropped
+/// name reopens it, and only [`Storage::open`] creates a missing file, as
+/// in [`FaultStorage`]: `append` and `sync` on a missing file fail.
 #[derive(Debug)]
 pub struct FsStorage {
-    root: std::path::PathBuf,
+    root: PathBuf,
+    handles: BTreeMap<String, File>,
 }
 
 impl FsStorage {
     /// A backend rooted at `root`, creating the directory if needed.
-    pub fn new(root: impl Into<std::path::PathBuf>) -> Result<Self> {
+    pub fn new(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| io_err("create_dir_all", &root.display().to_string(), e))?;
-        Ok(FsStorage { root })
+        Ok(FsStorage { root, handles: BTreeMap::new() })
     }
 
-    fn path(&self, file: &str) -> std::path::PathBuf {
+    fn path(&self, file: &str) -> PathBuf {
         self.root.join(file)
+    }
+
+    /// The held handle of `file`. Without one, opens the file for writing
+    /// with the cursor at its end, creating it only if `create`. A held
+    /// handle means the name still refers to the file it opened.
+    fn handle(&mut self, file: &str, create: bool) -> Result<&mut File> {
+        if !self.handles.contains_key(file) {
+            let mut f = OpenOptions::new()
+                .create(create)
+                .write(true)
+                .open(self.path(file))
+                .map_err(|e| io_err("open", file, e))?;
+            f.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", file, e))?;
+            self.handles.insert(file.to_string(), f);
+        }
+        Ok(self.handles.get_mut(file).expect("handle held"))
     }
 }
 
 impl Storage for FsStorage {
     fn open(&mut self, file: &str) -> Result<()> {
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(file))
-            .map(|_| ())
-            .map_err(|e| io_err("open", file, e))
+        self.handle(file, true).map(|_| ())
     }
 
     fn append(&mut self, file: &str, data: &[u8]) -> Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(file))
-            .map_err(|e| io_err("open", file, e))?;
-        f.write_all(data).map_err(|e| io_err("append", file, e))
+        self.handle(file, false)?.write_all(data).map_err(|e| io_err("append", file, e))
     }
 
     fn read(&mut self, file: &str) -> Result<Vec<u8>> {
@@ -204,9 +226,7 @@ impl Storage for FsStorage {
     }
 
     fn sync(&mut self, file: &str) -> Result<()> {
-        std::fs::File::open(self.path(file))
-            .and_then(|f| f.sync_all())
-            .map_err(|e| io_err("sync", file, e))
+        self.handle(file, false)?.sync_all().map_err(|e| io_err("sync", file, e))
     }
 
     fn sync_dir(&mut self) -> Result<()> {
@@ -215,7 +235,7 @@ impl Storage for FsStorage {
         // CI actually runs on, so only non-Unix downgrades to a no-op.
         #[cfg(unix)]
         {
-            std::fs::File::open(&self.root)
+            File::open(&self.root)
                 .and_then(|f| f.sync_all())
                 .map_err(|e| io_err("sync_dir", &self.root.display().to_string(), e))
         }
@@ -224,11 +244,14 @@ impl Storage for FsStorage {
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<()> {
+        self.handles.remove(from);
+        self.handles.remove(to);
         std::fs::rename(self.path(from), self.path(to)).map_err(|e| io_err("rename", from, e))
     }
 
     fn truncate(&mut self, file: &str, len: u64) -> Result<()> {
-        let f = std::fs::OpenOptions::new()
+        self.handles.remove(file);
+        let f = OpenOptions::new()
             .write(true)
             .open(self.path(file))
             .map_err(|e| io_err("open", file, e))?;
@@ -236,6 +259,7 @@ impl Storage for FsStorage {
     }
 
     fn remove(&mut self, file: &str) -> Result<()> {
+        self.handles.remove(file);
         match std::fs::remove_file(self.path(file)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -516,21 +540,44 @@ fn scan_records(buf: &[u8]) -> RecordScan<'_> {
 /// `house u64 | start i64 | interval i64 | count u64 | bits u8`.
 const WAL_SEG_FIXED: usize = 8 + 8 + 8 + 8 + 1;
 
-fn encode_segment_record(house: u64, series: &SymbolicSeries) -> Vec<u8> {
-    let ts = series.timestamps();
-    let interval = if ts.len() >= 2 { ts[1] - ts[0] } else { 0 };
-    let packed = series.pack_symbols();
-    let mut payload = Vec::with_capacity(WAL_SEG_FIXED + packed.len());
-    payload.extend_from_slice(&house.to_le_bytes());
-    payload.extend_from_slice(&ts[0].to_le_bytes());
-    payload.extend_from_slice(&interval.to_le_bytes());
-    payload.extend_from_slice(&(series.len() as u64).to_le_bytes());
-    payload.push(series.resolution_bits());
-    payload.extend_from_slice(&packed);
-    payload
+/// Size of the separator epoch (`u32` LE) that follows the packed symbols
+/// of a record whose epoch is not 0. Epoch-0 records omit it, so they keep
+/// the byte layout of the epoch-less log.
+const WAL_EPOCH_BYTES: usize = 4;
+
+/// The framed WAL record (`len | crc32 | payload`) of a stored segment,
+/// built in one allocation from its meta and its packed arena bytes: the
+/// symbols are packed once, by the store.
+fn segment_record(meta: &SegmentMeta, packed: &[u8]) -> Result<Vec<u8>> {
+    let epoch_bytes = if meta.epoch == 0 { 0 } else { WAL_EPOCH_BYTES };
+    let payload_len = WAL_SEG_FIXED + packed.len() + epoch_bytes;
+    let len = u32::try_from(payload_len).map_err(|_| {
+        Error::Store(format!(
+            "a WAL record holds at most 4 GiB, this segment needs {payload_len} B"
+        ))
+    })?;
+    let mut out = Vec::with_capacity(RECORD_HEADER + payload_len);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the payload's CRC32, set below
+    out.extend_from_slice(&meta.house.to_le_bytes());
+    out.extend_from_slice(&meta.start.to_le_bytes());
+    out.extend_from_slice(&meta.interval.to_le_bytes());
+    out.extend_from_slice(&meta.count.to_le_bytes());
+    out.push(meta.resolution_bits);
+    out.extend_from_slice(packed);
+    if meta.epoch != 0 {
+        out.extend_from_slice(&meta.epoch.to_le_bytes());
+    }
+    let crc = crc32(&out[RECORD_HEADER..]);
+    out[4..RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
+    Ok(out)
 }
 
-fn decode_segment_record(payload: &[u8]) -> Result<(u64, SymbolicSeries)> {
+/// Decodes a WAL segment payload into its house, separator epoch and
+/// series. `count` and `bits` fix the packed size, so the payload's length
+/// tells the two forms apart: exactly the packed symbols (epoch 0), or
+/// them plus a non-zero epoch.
+fn decode_segment(payload: &[u8]) -> Result<(u64, u32, SymbolicSeries)> {
     if payload.len() < WAL_SEG_FIXED {
         return Err(Error::Io(format!("WAL record of {} bytes is too short", payload.len())));
     }
@@ -545,16 +592,26 @@ fn decode_segment_record(payload: &[u8]) -> Result<(u64, SymbolicSeries)> {
         .checked_mul(bits as usize)
         .map(|b| b.div_ceil(8))
         .ok_or_else(|| Error::Io("WAL record payload size overflows".to_string()))?;
-    if payload.len() - WAL_SEG_FIXED != expect {
-        return Err(Error::Io(format!(
-            "WAL record holds {} payload bytes, {count} symbols at {bits} bits need {expect}",
-            payload.len() - WAL_SEG_FIXED
-        )));
-    }
-    let series =
-        SymbolicSeries::unpack_symbols(&payload[WAL_SEG_FIXED..], bits, count, start, interval)
-            .map_err(|e| Error::Io(format!("WAL record decode: {e}")))?;
-    Ok((house, series))
+    let body = &payload[WAL_SEG_FIXED..];
+    let epoch = match body.len().checked_sub(expect) {
+        Some(0) => 0,
+        Some(WAL_EPOCH_BYTES) => {
+            match u32::from_le_bytes(body[expect..].try_into().expect("4 bytes")) {
+                0 => return Err(Error::Io("WAL record spells out epoch 0".to_string())),
+                epoch => epoch,
+            }
+        }
+        _ => {
+            return Err(Error::Io(format!(
+                "WAL record holds {} payload bytes, {count} symbols at {bits} bits need {expect} \
+                 (or {WAL_EPOCH_BYTES} more with an epoch)",
+                body.len()
+            )))
+        }
+    };
+    let series = SymbolicSeries::unpack_symbols(&body[..expect], bits, count, start, interval)
+        .map_err(|e| Error::Io(format!("WAL record decode: {e}")))?;
+    Ok((house, epoch, series))
 }
 
 // --- the durable store ----------------------------------------------------
@@ -678,8 +735,8 @@ pub struct DurableStore<S: Storage> {
     storage: S,
     store: SegmentStore,
     config: DurableConfig,
-    /// Generation whose WAL is being appended to.
-    generation: u64,
+    /// File name of the WAL being appended to (its generation's).
+    wal: String,
     /// Newest generation ever listed in the manifest (checkpoints continue
     /// from here even after a fallback, so a corrupt checkpoint is never
     /// silently overwritten-in-place).
@@ -702,7 +759,7 @@ impl<S: Storage> DurableStore<S> {
             storage,
             store: SegmentStore::new(),
             config,
-            generation: 0,
+            wal: wal_name(0),
             newest_gen: 0,
             unsynced: 0,
             durable_records: 0,
@@ -721,7 +778,7 @@ impl<S: Storage> DurableStore<S> {
             self.storage.open(MANIFEST)?;
             self.storage.append(MANIFEST, &encode_record(&0u64.to_le_bytes()))?;
             self.sync(MANIFEST)?;
-            self.storage.open(&wal_name(0))?;
+            self.storage.open(&self.wal)?;
             self.sync_dir()?;
             return Ok(report);
         }
@@ -772,28 +829,27 @@ impl<S: Storage> DurableStore<S> {
             )));
         };
         report.generation = generation;
-        self.generation = generation;
+        self.wal = wal_name(generation);
         self.store = store;
 
         // WAL replay with torn-tail repair. A missing WAL (crash between
         // the manifest sync and the WAL create) is an empty one.
-        let wal = wal_name(generation);
-        if !self.storage.exists(&wal) {
-            self.storage.open(&wal)?;
+        if !self.storage.exists(&self.wal) {
+            self.storage.open(&self.wal)?;
             self.sync_dir()?;
         }
-        let bytes = self.storage.read(&wal)?;
+        let bytes = self.storage.read(&self.wal)?;
         let scan = scan_records(&bytes);
         for payload in &scan.payloads {
-            let (house, series) = decode_segment_record(payload)?;
-            self.store.append(house, &series)?;
+            let (house, epoch, series) = decode_segment(payload)?;
+            self.store.append_epoch(house, epoch, &series)?;
             report.replayed += 1;
         }
         if scan.torn {
             report.discarded += 1;
             self.stats.torn_records_dropped += 1;
-            self.storage.truncate(&wal, scan.valid_len)?;
-            self.sync(&wal)?;
+            self.storage.truncate(&self.wal, scan.valid_len)?;
+            self.sync_wal()?;
         }
         self.stats.replayed_records = report.replayed;
         self.durable_records = self.store.stats().segments_written;
@@ -802,6 +858,12 @@ impl<S: Storage> DurableStore<S> {
 
     fn sync(&mut self, file: &str) -> Result<()> {
         self.storage.sync(file)?;
+        self.stats.fsyncs += 1;
+        Ok(())
+    }
+
+    fn sync_wal(&mut self) -> Result<()> {
+        self.storage.sync(&self.wal)?;
         self.stats.fsyncs += 1;
         Ok(())
     }
@@ -822,22 +884,36 @@ impl<S: Storage> DurableStore<S> {
         Ok(())
     }
 
-    /// Appends `series` as one segment of `house`: validates and applies
-    /// it to the in-memory store, logs it to the WAL, and group-commits
-    /// per [`DurableConfig`]. The record is durable (ack-able) only once
-    /// a [`commit`](Self::commit) covering it returns `Ok`.
+    /// Appends `series` as one segment of `house` at epoch 0 (the
+    /// pre-drift separator table). See [`append_epoch`](Self::append_epoch).
     pub fn append(&mut self, house: u64, series: &SymbolicSeries) -> Result<usize> {
+        self.append_epoch(house, 0, series)
+    }
+
+    /// Appends `series` as one segment of `house`, encoded under separator
+    /// `epoch`: validates and applies it to the in-memory store, logs it to
+    /// the WAL, and group-commits per [`DurableConfig`]. The record is
+    /// durable (ack-able) only once a [`commit`](Self::commit) covering it
+    /// returns `Ok`, and recovery restores it at its epoch.
+    pub fn append_epoch(
+        &mut self,
+        house: u64,
+        epoch: u32,
+        series: &SymbolicSeries,
+    ) -> Result<usize> {
         self.guard()?;
         // The in-memory append runs first: it owns validation, so the WAL
         // only ever holds records that replay cleanly.
-        let id = self.store.append(house, series)?;
-        let record = encode_record(&encode_segment_record(house, series));
-        if let Err(e) = self.storage.append(&wal_name(self.generation), &record) {
-            self.poisoned = true;
-            return Err(e);
-        }
+        let id = self.store.append_epoch(house, epoch, series)?;
+        let bytes = match self.log_segment(id) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                self.poisoned = true;
+                return Err(e);
+            }
+        };
         self.stats.wal_appends += 1;
-        self.stats.wal_bytes += record.len() as u64;
+        self.stats.wal_bytes += bytes;
         self.unsynced += 1;
         self.since_checkpoint += 1;
         if self.unsynced >= self.config.group_commit as u64 {
@@ -850,13 +926,22 @@ impl<S: Storage> DurableStore<S> {
         Ok(id)
     }
 
+    /// Writes stored segment `id` to the WAL from its packed arena bytes;
+    /// returns the record's size.
+    fn log_segment(&mut self, id: usize) -> Result<u64> {
+        let (meta, packed) = self.store.segment(id)?;
+        let record = segment_record(meta, packed)?;
+        self.storage.append(&self.wal, &record)?;
+        Ok(record.len() as u64)
+    }
+
     /// Fsyncs the WAL, making every record appended so far durable.
     pub fn commit(&mut self) -> Result<()> {
         self.guard()?;
         if self.unsynced == 0 {
             return Ok(());
         }
-        if let Err(e) = self.sync(&wal_name(self.generation)) {
+        if let Err(e) = self.sync_wal() {
             self.poisoned = true;
             return Err(e);
         }
@@ -880,7 +965,6 @@ impl<S: Storage> DurableStore<S> {
     }
 
     fn checkpoint_inner(&mut self) -> Result<()> {
-        let old_gen = self.generation;
         let generation = self.newest_gen + 1;
         let img = self.store.to_bytes();
         self.storage.open(CKPT_TMP)?;
@@ -896,14 +980,15 @@ impl<S: Storage> DurableStore<S> {
         self.stats.checkpoints += 1;
         // Fresh WAL for the new generation; the old generation's WAL and
         // the checkpoint two generations back are disposable only now.
-        self.storage.open(&wal_name(generation))?;
+        let wal = wal_name(generation);
+        self.storage.open(&wal)?;
         self.sync_dir()?;
-        self.storage.remove(&wal_name(old_gen))?;
+        self.storage.remove(&self.wal)?;
         if generation >= 2 {
             self.storage.remove(&ckpt_name(generation - 2))?;
         }
         self.sync_dir()?;
-        self.generation = generation;
+        self.wal = wal;
         self.newest_gen = generation;
         self.since_checkpoint = 0;
         Ok(())
@@ -993,16 +1078,27 @@ impl<S: Storage> DurableFleet<S> {
         &self.shards[shard]
     }
 
-    /// Appends to the live shard owning `house`, failing over across
-    /// successor vnodes on backend errors. Returns the shard that took the
-    /// record. Non-I/O errors (e.g. an irregular series) propagate without
-    /// killing any shard.
+    /// Appends to the live shard owning `house` at epoch 0. See
+    /// [`append_epoch`](Self::append_epoch).
     pub fn append(&mut self, house: u64, series: &SymbolicSeries) -> Result<usize> {
+        self.append_epoch(house, 0, series)
+    }
+
+    /// Appends to the live shard owning `house` under separator `epoch`,
+    /// failing over across successor vnodes on backend errors. Returns the
+    /// shard that took the record. Non-I/O errors (e.g. an irregular
+    /// series) propagate without killing any shard.
+    pub fn append_epoch(
+        &mut self,
+        house: u64,
+        epoch: u32,
+        series: &SymbolicSeries,
+    ) -> Result<usize> {
         loop {
             let Some(shard) = self.router.route_alive(house, &self.alive) else {
                 return Err(Error::Io("all shards dead".to_string()));
             };
-            match self.shards[shard].append(house, series) {
+            match self.shards[shard].append_epoch(house, epoch, series) {
                 Ok(_) => return Ok(shard),
                 Err(Error::Io(_)) => {
                     self.alive[shard] = false;
@@ -1075,6 +1171,61 @@ mod tests {
             store.append(h, &series(h, 48)).unwrap();
         }
         store
+    }
+
+    /// The epoch-0 WAL payload of `series` as `house`, built as
+    /// [`DurableStore::append`] builds it: from the stored segment.
+    fn encode_segment_record(house: u64, series: &SymbolicSeries) -> Vec<u8> {
+        let mut store = SegmentStore::new();
+        let id = store.append(house, series).unwrap();
+        let (meta, packed) = store.segment(id).unwrap();
+        segment_record(meta, packed).unwrap()[RECORD_HEADER..].to_vec()
+    }
+
+    /// The house and series of a WAL payload.
+    fn decode_segment_record(payload: &[u8]) -> Result<(u64, SymbolicSeries)> {
+        decode_segment(payload).map(|(house, _, series)| (house, series))
+    }
+
+    /// A fresh directory under the system temp dir, unique per `tag`.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "sms-durable-{tag}-{}-{:x}",
+            std::process::id(),
+            crate::shard::splitmix64(0xD15C)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// A `len | crc32 | payload` record, framed by hand.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// A WAL segment payload in the epoch-less layout, field by field:
+    /// 4-bit ranks, two to a byte, 900 s apart from `start`.
+    fn epochless_payload(house: u64, start: i64, ranks: &[u16]) -> Vec<u8> {
+        let mut out = house.to_le_bytes().to_vec();
+        out.extend_from_slice(&start.to_le_bytes());
+        out.extend_from_slice(&900i64.to_le_bytes());
+        out.extend_from_slice(&(ranks.len() as u64).to_le_bytes());
+        out.push(4);
+        out.extend(ranks.chunks(2).map(|p| (p[0] << 4 | p.get(1).copied().unwrap_or(0)) as u8));
+        out
+    }
+
+    /// The series [`epochless_payload`] describes.
+    fn nibble_series(start: i64, ranks: &[u16]) -> SymbolicSeries {
+        let mut s = SymbolicSeries::new(4).unwrap();
+        for (i, &r) in ranks.iter().enumerate() {
+            s.push(start + i as i64 * 900, crate::symbol::Symbol::from_rank(r, 4).unwrap())
+                .unwrap();
+        }
+        s
     }
 
     #[test]
@@ -1307,6 +1458,170 @@ mod tests {
         assert!(report.recovered);
         assert_eq!(back.store().to_bytes(), reference_prefix(9, 9).to_bytes());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn epochless_wal_and_manifest_recover_and_epoch0_records_keep_their_bytes() {
+        // A MANIFEST at generation 0 and its WAL, in the layout logs had
+        // before records could carry an epoch, written byte by byte.
+        let houses: [(u64, &[u16]); 3] =
+            [(4, &[1, 2, 3, 15]), (9, &[0, 7, 8, 9, 10]), (4, &[6, 5, 4, 3, 2, 1])];
+        let mut storage = FaultStorage::new();
+        storage.open(MANIFEST).unwrap();
+        storage.append(MANIFEST, &framed(&0u64.to_le_bytes())).unwrap();
+        storage.sync(MANIFEST).unwrap();
+        let wal = "wal-0000000000000000.log";
+        storage.open(wal).unwrap();
+        let mut reference = SegmentStore::new();
+        for (i, (house, ranks)) in houses.iter().enumerate() {
+            let start = i as i64 * 86_400;
+            storage.append(wal, &framed(&epochless_payload(*house, start, ranks))).unwrap();
+            reference.append(*house, &nibble_series(start, ranks)).unwrap();
+        }
+        storage.sync(wal).unwrap();
+        storage.sync_dir().unwrap();
+        let before = storage.read(wal).unwrap();
+
+        let (mut store, report) = DurableStore::open(storage, DurableConfig::default()).unwrap();
+        assert_eq!((report.replayed, report.discarded), (3, 0));
+        assert_eq!(store.store().to_bytes(), reference.to_bytes());
+        assert_eq!(store.store().house_epochs(4), vec![0]);
+
+        // A new epoch-0 append writes the same bytes the old layout did.
+        let ranks = [11, 12, 13];
+        store.append(9, &nibble_series(3 * 86_400, &ranks)).unwrap();
+        store.commit().unwrap();
+        let after = store.into_storage().read(wal).unwrap();
+        assert_eq!(&after[..before.len()], &before[..]);
+        assert_eq!(&after[before.len()..], &framed(&epochless_payload(9, 3 * 86_400, &ranks))[..]);
+    }
+
+    #[test]
+    fn epoch_records_carry_the_epoch_after_the_symbols() {
+        let ranks = [3, 1, 4, 1, 5];
+        let s = nibble_series(0, &ranks);
+        let (mut store, _) =
+            DurableStore::open(FaultStorage::new(), DurableConfig::default()).unwrap();
+        store.append_epoch(6, 0x0102_0304, &s).unwrap();
+        store.append(6, &nibble_series(86_400, &ranks)).unwrap();
+        store.commit().unwrap();
+        let mut storage = store.into_storage();
+        let wal = storage.read(&wal_name(0)).unwrap();
+        let mut payload = epochless_payload(6, 0, &ranks);
+        payload.extend_from_slice(&[4, 3, 2, 1]);
+        assert_eq!(&wal[..RECORD_HEADER + payload.len()], &framed(&payload)[..]);
+
+        let (back, report) = DurableStore::open(&mut storage, DurableConfig::default()).unwrap();
+        assert_eq!(report.replayed, 2);
+        assert_eq!(back.store().house_epochs(6), vec![0, 0x0102_0304]);
+        let segments = back.store().segments();
+        assert_eq!((segments[0].epoch, segments[1].epoch), (0x0102_0304, 0));
+
+        // Epoch 0 has one spelling: the long form is refused, as is any
+        // length that is neither form.
+        let mut zero = epochless_payload(6, 0, &ranks);
+        zero.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(decode_segment(&zero), Err(Error::Io(_))));
+        assert!(matches!(decode_segment(&payload[..payload.len() - 1]), Err(Error::Io(_))));
+    }
+
+    /// Runs the append contract both backends share on `storage`: only
+    /// `open` creates a file, so appending to or syncing a name that was
+    /// never opened, or was removed since, fails and creates nothing.
+    fn check_append_contract(storage: &mut impl Storage) {
+        assert!(storage.append("never-opened", b"x").is_err());
+        assert!(storage.sync("never-opened").is_err());
+        assert!(!storage.exists("never-opened"));
+        storage.open("f").unwrap();
+        storage.append("f", b"ok").unwrap();
+        assert_eq!(storage.read("f").unwrap(), b"ok");
+        storage.remove("f").unwrap();
+        assert!(storage.append("f", b"x").is_err());
+        assert!(!storage.exists("f"));
+    }
+
+    #[test]
+    fn append_to_a_file_never_opened_fails_on_both_backends() {
+        check_append_contract(&mut FaultStorage::new());
+        let dir = temp_dir("contract");
+        check_append_contract(&mut FsStorage::new(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fs_storage_drops_handles_of_renamed_removed_and_truncated_files() {
+        type Check = fn(&mut FsStorage) -> Result<bool>;
+        let dir = temp_dir("handles");
+        let mut fs = FsStorage::new(&dir).unwrap();
+        fn image(generation: u8) -> Vec<u8> {
+            vec![generation; 10 * generation as usize]
+        }
+        // What every file must hold at the end, for a second backend to read.
+        let expect: Vec<(String, Vec<u8>)> = [
+            ("a", b"second".to_vec()),
+            ("b", b"first".to_vec()),
+            ("t", b"abXY".to_vec()),
+            ("r", b"new".to_vec()),
+        ]
+        .into_iter()
+        .map(|(f, d)| (f.to_string(), d))
+        .chain((1..=3).map(|g| (format!("ckpt-{g}"), image(g))))
+        .collect();
+        let checks: [(&str, Check); 4] = [
+            ("an append after rename lands in a fresh file", |fs| {
+                fs.open("a")?;
+                fs.append("a", b"first")?;
+                fs.rename("a", "b")?;
+                fs.open("a")?;
+                fs.append("a", b"second")?;
+                Ok(fs.read("a")? == b"second" && fs.read("b")? == b"first")
+            }),
+            ("ckpt.tmp reused for three checkpoints", |fs| {
+                for g in 1..=3u8 {
+                    fs.open(CKPT_TMP)?;
+                    fs.truncate(CKPT_TMP, 0)?;
+                    fs.append(CKPT_TMP, &image(g))?;
+                    fs.sync(CKPT_TMP)?;
+                    fs.rename(CKPT_TMP, &format!("ckpt-{g}"))?;
+                }
+                Ok((1..=3u8).all(|g| fs.read(&format!("ckpt-{g}")).ok() == Some(image(g))))
+            }),
+            ("an append after truncate lands at the new end", |fs| {
+                fs.open("t")?;
+                fs.append("t", b"abcdef")?;
+                fs.truncate("t", 2)?;
+                fs.append("t", b"XY")?;
+                Ok(fs.read("t")? == b"abXY")
+            }),
+            ("a file removed and opened again starts empty", |fs| {
+                fs.open("r")?;
+                fs.append("r", b"old")?;
+                fs.remove("r")?;
+                fs.open("r")?;
+                let empty = fs.read("r")?.is_empty();
+                fs.append("r", b"new")?;
+                Ok(empty)
+            }),
+        ];
+        let mut failed: Vec<String> = checks
+            .iter()
+            .filter_map(|(name, check)| match check(&mut fs) {
+                Ok(true) => None,
+                Ok(false) => Some(name.to_string()),
+                Err(e) => Some(format!("{name}: {e}")),
+            })
+            .collect();
+        for (file, _) in &expect {
+            fs.sync(file).ok();
+        }
+        let mut second = FsStorage::new(&dir).unwrap();
+        for (file, want) in &expect {
+            if second.read(file).ok().as_ref() != Some(want) {
+                failed.push(format!("a second backend reads {file} wrong"));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(failed.is_empty(), "failed: {failed:?}");
     }
 
     #[test]

@@ -146,11 +146,20 @@ impl SymbolicSeries {
     /// Packs the symbol payload into bits (timestamps are implicit for
     /// regular streams; the wire format stores `(start, interval)` separately).
     pub fn pack_symbols(&self) -> Vec<u8> {
-        let mut w = SymbolWriter::new();
+        let mut out = Vec::with_capacity(self.payload_bits().div_ceil(8));
+        self.pack_symbols_into(&mut out);
+        out
+    }
+
+    /// Appends the bytes of [`pack_symbols`](Self::pack_symbols) to `out`,
+    /// reserving room for them first.
+    pub(crate) fn pack_symbols_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.payload_bits().div_ceil(8));
+        let mut w = SymbolWriter::with_buffer(std::mem::take(out));
         for &s in &self.symbols {
             w.write(s);
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Unpacks `count` symbols of `resolution_bits` from packed bytes,

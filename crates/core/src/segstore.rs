@@ -46,7 +46,7 @@ use std::time::Instant;
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::lookup::LookupTable;
-use crate::symbol::{Symbol, MAX_RESOLUTION_BITS};
+use crate::symbol::{Symbol, SymbolWriter, MAX_RESOLUTION_BITS};
 use crate::telemetry::Registry;
 use crate::timeseries::Timestamp;
 
@@ -326,11 +326,10 @@ impl SegmentStore {
             min_rank = min_rank.min(s.rank());
             max_rank = max_rank.max(s.rank());
         }
-        let payload = series.pack_symbols();
         let offset = self.arena.len() as u64;
-        let len = payload.len() as u64;
+        let len = series.payload_bits().div_ceil(8) as u64;
         offset.checked_add(len).ok_or_else(|| Error::Store("arena offset overflow".to_string()))?;
-        self.arena.extend_from_slice(&payload);
+        series.pack_symbols_into(&mut self.arena);
         let meta = SegmentMeta {
             house,
             start: ts[0],
@@ -496,6 +495,13 @@ impl SegmentStore {
             }
         }
         Ok(out)
+    }
+
+    /// Segment `id`'s meta and packed payload (`id` as returned by
+    /// [`append_epoch`](Self::append_epoch)).
+    pub(crate) fn segment(&self, id: usize) -> Result<(&SegmentMeta, &[u8])> {
+        let m = self.metas.get(id).ok_or_else(|| Error::Store(format!("no segment {id}")))?;
+        Ok((m, self.payload(m)?))
     }
 
     fn payload(&self, m: &SegmentMeta) -> Result<&[u8]> {
@@ -706,11 +712,11 @@ impl SegmentStore {
             write_varint(&mut out, *rank as u64);
             write_varint(&mut out, *run);
         }
-        let mut bits = BitSink::new();
-        for idx in &indices {
-            bits.write(*idx, width);
+        let mut bits = SymbolWriter::with_buffer(out);
+        for &idx in &indices {
+            bits.write_bits(idx, width);
         }
-        out.extend_from_slice(&bits.finish());
+        let out = bits.into_bytes();
         // Raw escape: on segments the tokenization expands (few runs, or
         // too short to amortize the dictionary), keep the packed payload
         // verbatim so re-compression is never worse than ~2 bytes/segment.
@@ -961,34 +967,6 @@ fn read_varint(buf: &[u8], at: &mut usize) -> Result<u64> {
             return Ok(v);
         }
         shift += 7;
-    }
-}
-
-/// MSB-first bit sink for the re-compression index stream.
-struct BitSink {
-    buf: Vec<u8>,
-    bit_pos: u8,
-}
-
-impl BitSink {
-    fn new() -> Self {
-        BitSink { buf: Vec::new(), bit_pos: 0 }
-    }
-
-    fn write(&mut self, value: u32, width: u8) {
-        for i in (0..width).rev() {
-            if self.bit_pos == 0 {
-                self.buf.push(0);
-            }
-            if (value >> i) & 1 == 1 {
-                *self.buf.last_mut().expect("just pushed") |= 1 << (7 - self.bit_pos);
-            }
-            self.bit_pos = (self.bit_pos + 1) % 8;
-        }
-    }
-
-    fn finish(self) -> Vec<u8> {
-        self.buf
     }
 }
 

@@ -176,15 +176,22 @@ impl FromStr for Symbol {
     }
 }
 
-/// Bit-packing writer for symbol streams: `len` bits per symbol, no padding
-/// between symbols. This is the storage format behind the §2.3 compression
-/// accounting ("16 symbols and an aggregation of 15 minutes … only 384 bit"
-/// per day).
+/// Bit-packing writer for symbol streams: `len` bits per symbol, MSB first,
+/// no padding between symbols. This is the storage format behind the §2.3
+/// compression accounting ("16 symbols and an aggregation of 15 minutes …
+/// only 384 bit" per day), and the crate's only bit packer.
+///
+/// Bits collect in a word accumulator and leave it 32 at a time, so a
+/// symbol costs a few shifts rather than a loop turn per bit. The packed
+/// bytes exist only once [`into_bytes`](Self::into_bytes) flushes the
+/// accumulator.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolWriter {
     buf: Vec<u8>,
-    /// Bits used in the last byte (0 ⇒ byte boundary).
-    bit_pos: u8,
+    /// Bits not yet moved to `buf`: the low `pending` bits, oldest highest.
+    acc: u64,
+    /// Bits held in `acc`; under 32 between writes.
+    pending: u32,
     bits_written: usize,
 }
 
@@ -194,20 +201,34 @@ impl SymbolWriter {
         Self::default()
     }
 
+    /// A writer that packs after `buf`'s current end, which counts as a
+    /// byte boundary; [`into_bytes`](Self::into_bytes) returns `buf` with
+    /// the packed bits appended. Reserve room in `buf` to pack without
+    /// reallocating.
+    pub(crate) fn with_buffer(buf: Vec<u8>) -> Self {
+        SymbolWriter { buf, ..Self::default() }
+    }
+
     /// Appends one symbol.
+    #[inline]
     pub fn write(&mut self, sym: Symbol) {
-        for i in 0..sym.resolution_bits() {
-            let bit = sym.bit(i);
-            if self.bit_pos == 0 {
-                self.buf.push(0);
-            }
-            if bit {
-                let last = self.buf.last_mut().expect("just pushed");
-                *last |= 1 << (7 - self.bit_pos);
-            }
-            self.bit_pos = (self.bit_pos + 1) % 8;
-            self.bits_written += 1;
+        self.write_bits(u32::from(sym.code), sym.len);
+    }
+
+    /// Appends the low `width ≤ 32` bits of `value`, MSB first.
+    #[inline]
+    pub(crate) fn write_bits(&mut self, value: u32, width: u8) {
+        debug_assert!(width <= 32, "cannot write {width} bits at once");
+        let width = u32::from(width);
+        // Under 32 pending plus at most 32 new bits fit the u64; bits shifted
+        // out above them were flushed already.
+        self.acc = (self.acc << width) | (u64::from(value) & ((1u64 << width) - 1));
+        self.pending += width;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            self.buf.extend_from_slice(&((self.acc >> self.pending) as u32).to_be_bytes());
         }
+        self.bits_written += width as usize;
     }
 
     /// Total payload bits written (excluding final-byte padding).
@@ -216,13 +237,15 @@ impl SymbolWriter {
     }
 
     /// Finishes and returns the packed bytes (last byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.buf.push((self.acc >> self.pending) as u8);
+        }
+        if self.pending > 0 {
+            self.buf.push((self.acc << (8 - self.pending)) as u8);
+        }
         self.buf
-    }
-
-    /// Borrow the bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 

@@ -5,14 +5,15 @@
 //! byte-identical to an uncrashed reference holding that prefix, at full
 //! resolution and at every truncated resolution `r ∈ 1..=b`. The same law
 //! must hold for workloads produced by the sharded engine at 1, 2 and 8
-//! workers (whose output is required to be worker-count independent).
+//! workers (whose output is required to be worker-count independent), and
+//! for records that carry separator epochs.
 
 use proptest::prelude::*;
 use sms_core::durable::{DurableConfig, DurableStore, FaultPlan, FaultStorage};
 use sms_core::error::Result;
 use sms_core::horizontal::SymbolicSeries;
 use sms_core::pipeline::CodecBuilder;
-use sms_core::segstore::SegmentStore;
+use sms_core::segstore::{SegmentStore, STORE_MAGIC};
 use sms_core::separators::SeparatorMethod;
 use sms_core::shard::{splitmix64, ShardedEngineConfig, ShardedFleetEngine};
 use sms_core::symbol::Symbol;
@@ -148,6 +149,108 @@ proptest! {
         let mut storage = FaultStorage::with_plan(plan);
         let acked = run_workload(&mut storage, config, &records);
         check_recovery(&storage, config, &records, acked)?;
+    }
+}
+
+/// One record of an epoch workload: house, separator epoch, series.
+type EpochRecord = (u64, u32, SymbolicSeries);
+
+/// [`series_from_ranks`] starting at `start` instead of 0.
+fn series_at(bits: u8, start: i64, ranks: &[u16]) -> SymbolicSeries {
+    let s = series_from_ranks(bits, ranks);
+    let timestamps = s.timestamps().iter().map(|t| t + start).collect();
+    SymbolicSeries::from_parts(bits, timestamps, s.symbols().to_vec()).unwrap()
+}
+
+/// Uncrashed reference store over the first `j` epoch records.
+fn epoch_prefix_store(records: &[EpochRecord], j: usize) -> SegmentStore {
+    let mut store = SegmentStore::new();
+    for (house, epoch, series) in &records[..j] {
+        store.append_epoch(*house, *epoch, series).unwrap();
+    }
+    store
+}
+
+/// [`run_workload`] through `DurableStore::append_epoch`.
+fn run_epoch_workload(
+    storage: &mut FaultStorage,
+    config: DurableConfig,
+    records: &[EpochRecord],
+) -> u64 {
+    let mut acked = 0u64;
+    let mut go = || -> Result<()> {
+        let (mut ds, _) = DurableStore::open(&mut *storage, config)?;
+        for (house, epoch, series) in records {
+            let appended = ds.append_epoch(*house, *epoch, series);
+            acked = ds.durable_records();
+            appended?;
+        }
+        let out = ds.commit();
+        acked = ds.durable_records();
+        out
+    };
+    let _ = go();
+    acked
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The torn-tail law for records at separator epochs 0–3, several
+    /// segments to a house: recovery lands on a committed prefix whose
+    /// SMS2 image, epochs included, is byte-identical to the reference,
+    /// and every house reports the reference's epochs.
+    #[test]
+    fn epoch_records_recover_a_committed_prefix(
+        segments in prop::collection::vec(
+            (prop::collection::vec(0u16..64, 1..12), 0u32..=3),
+            1..12,
+        ),
+        bits in 2u8..=6,
+        group_commit in 1usize..=5,
+        checkpoint_every in 0u64..=9,
+        crash_at in 1u64..=80,
+        short_write_keep in prop::sample::select(vec![None, Some(0u64), Some(3), Some(17)]),
+        corrupt_torn_byte in prop::bool::ANY,
+        tear_seed in 0u64..=u64::MAX,
+    ) {
+        let records: Vec<EpochRecord> = segments
+            .iter()
+            .enumerate()
+            .map(|(i, (ranks, epoch))| {
+                ((i % 3) as u64, *epoch, series_at(bits, i as i64 * 86_400, ranks))
+            })
+            .collect();
+        let config = DurableConfig::default()
+            .group_commit(group_commit)
+            .checkpoint_every(checkpoint_every);
+        let plan = FaultPlan {
+            crash_at_op: Some(crash_at),
+            short_write_keep,
+            tear_seed,
+            corrupt_torn_byte,
+        };
+        let mut storage = FaultStorage::with_plan(plan);
+        let acked = run_epoch_workload(&mut storage, config, &records);
+
+        let (recovered, _) = DurableStore::open(storage.crash_view(), config)
+            .map_err(|e| TestCaseError::fail(format!("recovery must never fail, got: {e}")))?;
+        let j = recovered.durable_records();
+        prop_assert!(
+            j >= acked && j <= records.len() as u64,
+            "recovered {j} records, acked {acked} of {}",
+            records.len()
+        );
+        let reference = epoch_prefix_store(&records, j as usize);
+        let image = recovered.store().to_bytes();
+        prop_assert!(&image[..4] == STORE_MAGIC, "recovered image is not SMS2");
+        prop_assert!(
+            image == reference.to_bytes(),
+            "recovered image differs from the {j}-record reference"
+        );
+        for house in 0..3u64 {
+            prop_assert_eq!(recovered.store().house_epochs(house), reference.house_epochs(house));
+        }
     }
 }
 

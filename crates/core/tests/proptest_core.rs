@@ -1,16 +1,42 @@
 //! Property-based tests for `sms-core`'s data structures, beyond the
 //! cross-crate suite in the workspace root: multiset/quantile equivalences,
 //! lookup-table laws under adversarial separators (duplicates allowed),
-//! bit-packing size accounting, and wire-format totality.
+//! bit-packing size accounting and byte layout, and wire-format totality.
 
 use proptest::prelude::*;
 use sms_core::alphabet::Alphabet;
 use sms_core::encoder::{EncodedWindow, SensorMessage};
+use sms_core::horizontal::SymbolicSeries;
 use sms_core::lookup::{LookupTable, SymbolSemantics};
 use sms_core::separators::SeparatorMethod;
 use sms_core::stats::{ExactQuantiles, FiniteF64, OrderedMultiset};
 use sms_core::symbol::{Symbol, SymbolWriter};
 use sms_core::wire::{encode_message, FrameDecoder};
+
+/// The packer `SymbolWriter::write` was before it moved whole words: one
+/// bit per turn, MSB first, into a buffer grown a byte at a time. Kept as
+/// the reference for the packed layout.
+fn pack_bit_by_bit(symbols: &[Symbol]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut bit_pos = 0u8;
+    for sym in symbols {
+        for i in 0..sym.resolution_bits() {
+            if bit_pos == 0 {
+                buf.push(0);
+            }
+            if sym.bit(i) {
+                *buf.last_mut().expect("just pushed") |= 1 << (7 - bit_pos);
+            }
+            bit_pos = (bit_pos + 1) % 8;
+        }
+    }
+    buf
+}
+
+/// `rank` cut to its low `bits` bits, as a `bits`-bit symbol.
+fn symbol(rank: u16, bits: u8) -> Symbol {
+    Symbol::from_rank((rank as u32 & ((1u32 << bits) - 1)) as u16, bits).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -119,6 +145,46 @@ proptest! {
         prop_assert_eq!(w.bits_written(), ranks.len() * bits as usize);
         let bytes = w.into_bytes();
         prop_assert_eq!(bytes.len(), (ranks.len() * bits as usize).div_ceil(8));
+    }
+
+    #[test]
+    fn packer_matches_the_bit_loop_at_every_resolution(
+        ranks in prop::collection::vec(0u16..=u16::MAX, 0..300),
+    ) {
+        for bits in 1..=16u8 {
+            let symbols: Vec<Symbol> = ranks.iter().map(|&r| symbol(r, bits)).collect();
+            let want = pack_bit_by_bit(&symbols);
+            let mut w = SymbolWriter::new();
+            for &s in &symbols {
+                w.write(s);
+            }
+            prop_assert_eq!(w.bits_written(), symbols.len() * bits as usize);
+            prop_assert_eq!(&w.into_bytes(), &want, "{} bits", bits);
+
+            let timestamps = (0..symbols.len() as i64).map(|i| i * 900).collect();
+            let series = SymbolicSeries::from_parts(bits, timestamps, symbols.clone()).unwrap();
+            let packed = series.pack_symbols();
+            prop_assert_eq!(&packed, &want, "{} bits", bits);
+            prop_assert_eq!(packed.capacity(), want.len(), "pack_symbols sizes its output exactly");
+
+            let back =
+                SymbolicSeries::unpack_symbols(&packed, bits, symbols.len(), 0, 900).unwrap();
+            prop_assert_eq!(back, series);
+        }
+    }
+
+    #[test]
+    fn packer_matches_the_bit_loop_across_mixed_resolutions(
+        stream in prop::collection::vec((1u8..=16, 0u16..=u16::MAX), 0..300),
+    ) {
+        let symbols: Vec<Symbol> = stream.iter().map(|&(bits, r)| symbol(r, bits)).collect();
+        let mut w = SymbolWriter::new();
+        for &s in &symbols {
+            w.write(s);
+        }
+        let total: usize = stream.iter().map(|&(bits, _)| bits as usize).sum();
+        prop_assert_eq!(w.bits_written(), total);
+        prop_assert_eq!(w.into_bytes(), pack_bit_by_bit(&symbols));
     }
 
     #[test]
