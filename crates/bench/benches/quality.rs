@@ -1,6 +1,6 @@
 //! Quality-path overhead benchmark: sanitizer throughput on clean vs
-//! corrupted series, and the supervised pool's bookkeeping cost relative to
-//! the legacy fail-fast pool on panic-free workloads.
+//! corrupted series, and the supervised pool's wall time on panic-free
+//! workloads.
 //!
 //! Like the `ml` bench this computes its medians directly so it can emit a
 //! machine-readable summary: set `BENCH_QUALITY_OUT` to a path to write a
@@ -8,9 +8,7 @@
 //! (used by `scripts/ci.sh`).
 
 use sms_bench::ingest_exp::{FaultInjector, ALL_SERIES_FAULTS};
-use sms_core::pool::{
-    run_indexed, run_indexed_supervised, PoolConfig, RetryPolicy, SupervisorPolicy,
-};
+use sms_core::pool::{run_indexed_supervised, PoolConfig, RetryPolicy, SupervisorPolicy};
 use sms_core::quality::{Sanitizer, SanitizerConfig};
 use sms_core::timeseries::{Sample, TimeSeries};
 use std::time::Instant;
@@ -61,13 +59,10 @@ fn main() {
         sanitizer.sanitize(&dirty).expect("repair-policy sanitize");
     });
 
-    // Pool overhead: the same cheap panic-free jobs through both paths.
+    // Pool overhead: cheap panic-free jobs through the supervised pool.
     let config = PoolConfig::with_workers(2);
     let policy = SupervisorPolicy::with_retry(RetryPolicy::with_max_attempts(2));
     let work = |i: usize| -> u64 { (0..400u64).fold(i as u64, |a, x| a.wrapping_mul(31) ^ x) };
-    let legacy_secs = median_secs(samples, || {
-        run_indexed(jobs, &config, work).expect("legacy pool");
-    });
     let supervised_secs = median_secs(samples, || {
         let report = run_indexed_supervised(jobs, &config, &policy, |i, _attempt| work(i));
         assert!(report.errors.is_empty());
@@ -75,12 +70,10 @@ fn main() {
 
     let clean_msps = n as f64 / clean_secs.max(f64::MIN_POSITIVE) / 1e6;
     let dirty_msps = dirty.len() as f64 / dirty_secs.max(f64::MIN_POSITIVE) / 1e6;
-    let overhead = supervised_secs / legacy_secs.max(f64::MIN_POSITIVE);
     println!("quality bench: {n} samples/series, {jobs} pool jobs, median of {samples} runs");
     println!("sanitize clean:      {:>9.3} ms  ({clean_msps:.1} Msamples/s)", clean_secs * 1e3);
     println!("sanitize dirty:      {:>9.3} ms  ({dirty_msps:.1} Msamples/s)", dirty_secs * 1e3);
-    println!("pool legacy:         {:>9.3} ms", legacy_secs * 1e3);
-    println!("pool supervised:     {:>9.3} ms  ({overhead:.2}x legacy)", supervised_secs * 1e3);
+    println!("pool supervised:     {:>9.3} ms", supervised_secs * 1e3);
 
     if let Ok(path) = std::env::var("BENCH_QUALITY_OUT") {
         let json = format!(
@@ -88,11 +81,9 @@ fn main() {
              \"sanitize_clean_ms\":{:.4},\"sanitize_dirty_ms\":{:.4},\
              \"clean_msamples_per_sec\":{clean_msps:.2},\
              \"dirty_msamples_per_sec\":{dirty_msps:.2},\
-             \"pool_legacy_ms\":{:.4},\"pool_supervised_ms\":{:.4},\
-             \"supervised_overhead\":{overhead:.3}}}\n",
+             \"pool_supervised_ms\":{:.4}}}\n",
             clean_secs * 1e3,
             dirty_secs * 1e3,
-            legacy_secs * 1e3,
             supervised_secs * 1e3,
         );
         std::fs::write(&path, json).unwrap();

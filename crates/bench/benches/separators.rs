@@ -1,6 +1,6 @@
 //! Separator-learning ablation: exact order-statistics learning versus the
-//! constant-memory P² streaming sketch, across alphabet sizes — the design
-//! choice DESIGN.md calls out for the sensor-side training phase.
+//! bounded-memory streaming quantile sketch, across alphabet sizes — the
+//! design choice DESIGN.md calls out for the sensor-side training phase.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sms_core::separators::{learn_separators, SeparatorMethod, StreamingLearner};
@@ -36,7 +36,7 @@ fn bench_streaming_learners(c: &mut Criterion) {
             black_box(l.separators().unwrap())
         });
     });
-    group.bench_function("p2_median_16", |b| {
+    group.bench_function("sketch_median_16", |b| {
         b.iter(|| {
             let mut l = StreamingLearner::approximate(SeparatorMethod::Median, 16).unwrap();
             for &v in &values {

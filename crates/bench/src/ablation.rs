@@ -3,8 +3,9 @@
 //! * **separator method extended**: the paper's three unsupervised methods
 //!   versus the §4 utility-driven learners (supervised and
 //!   reconstruction-optimal separators);
-//! * **exact vs approximate (P²) streaming separator learning** — how much
-//!   accuracy does the constant-memory sensor-side sketch give up.
+//! * **exact vs approximate (quantile sketch) streaming separator
+//!   learning** — how much accuracy the bounded-memory sensor-side sketch
+//!   gives up.
 
 use crate::prep::{dataset, PAPER_MIN_COVERAGE};
 use crate::scale::Scale;
@@ -111,8 +112,8 @@ pub fn render_separator_ablation(rows: &[SeparatorAblationRow]) -> String {
     s
 }
 
-/// Exact vs approximate (P²) streaming separator learning: max relative
-/// separator deviation and resulting symbol disagreement rate.
+/// Exact vs approximate (quantile sketch) streaming separator learning: max
+/// relative separator deviation and resulting symbol disagreement rate.
 #[derive(Debug, Clone)]
 pub struct StreamingAblation {
     /// Largest |approx − exact| / range over the k−1 separators.
@@ -121,7 +122,7 @@ pub struct StreamingAblation {
     pub symbol_disagreement: f64,
 }
 
-/// Runs the exact-vs-P² comparison on one house's two-day history.
+/// Runs the exact-vs-sketch comparison on one house's two-day history.
 pub fn run_streaming_ablation(scale: Scale) -> Result<StreamingAblation> {
     let ds = dataset(scale)?;
     let head = ds
@@ -198,11 +199,11 @@ mod tests {
 
     #[test]
     fn streaming_ablation_small_error() {
-        // P² needs volume: feed it a finer-sampled two-day history. Even
-        // then, quantized meter data concentrates mass on a few exact watt
-        // values, so quantile estimates landing inside a point mass can flip
-        // a whole bin — the ablation's finding is that the constant-memory
-        // sketch is usable but noticeably lossy on discrete distributions.
+        // A finer-sampled two-day history makes the sketch compact many
+        // times. Quantized meter data concentrates mass on a few exact watt
+        // values, so a quantile estimate landing on the wrong side of a
+        // point mass can flip a whole bin — the bounds below leave room for
+        // that on discrete distributions.
         let fine = Scale {
             days: 3,
             interval_secs: 30,
@@ -212,7 +213,7 @@ mod tests {
             ..Scale::quick()
         };
         let a = run_streaming_ablation(fine).unwrap();
-        assert!(a.max_relative_deviation < 0.25, "P² deviation {}", a.max_relative_deviation);
+        assert!(a.max_relative_deviation < 0.25, "sketch deviation {}", a.max_relative_deviation);
         assert!(a.symbol_disagreement < 0.5, "disagreement {}", a.symbol_disagreement);
     }
 }

@@ -600,7 +600,7 @@ fn run(
             println!("{}", render_separator_ablation(&run_separator_ablation(scale)?));
             let s = run_streaming_ablation(scale)?;
             println!(
-                "Exact vs P² streaming separator learning: max relative deviation {:.3}, \
+                "Exact vs sketch streaming separator learning: max relative deviation {:.3}, \
                  symbol disagreement {:.1}%",
                 s.max_relative_deviation,
                 s.symbol_disagreement * 100.0

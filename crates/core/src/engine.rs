@@ -1,25 +1,19 @@
-//! Parallel fleet-encoding engine.
+//! Fleet-encoding front end: batch and streaming APIs over the crate's one
+//! fleet encode loop.
 //!
-//! The paper's evaluation encodes *hundreds of households* (Fig. 6–7 use the
-//! full CER dataset); a serial [`SymbolicCodec`] walk over the fleet leaves
-//! most of a multi-core sensor gateway idle. This module shards a fleet of
-//! household streams across worker threads connected by bounded channels:
+//! The paper's evaluation encodes *hundreds of households* with either a
+//! table per house (Figs. 5–6, Table 1) or one global table (Fig. 7); a
+//! serial [`SymbolicCodec`] walk over the fleet leaves most of a multi-core
+//! sensor gateway idle.
 //!
-//! ```text
-//!                 ┌──────────┐  house indices   ┌───────────┐
-//!  fleet: &[TS] ─▶│  feeder  │═════bounded═════▶│ worker 0  │──┐
-//!                 └──────────┘       MPMC       ├───────────┤  │ (idx, Ŝ)
-//!                                          ════▶│ worker 1  │──┼═══════▶ collector
-//!                                          ════▶│    …      │──┘   places results[idx]
-//!                                               └───────────┘
-//! ```
-//!
-//! * **Batch API** — [`FleetEngine::encode_fleet`] / [`encode_fleet`]: every
-//!   house index travels through one bounded MPMC channel, each worker owns
-//!   reusable scratch buffers ([`SymbolicCodec::encode_into`]) so the hot
-//!   loop is allocation-free, and the collector writes results back by house
-//!   index, which makes the output **byte-identical to the serial codec
-//!   regardless of worker count**.
+//! * **Batch API** — [`FleetEngine::encode_fleet`] / [`encode_fleet`]: an
+//!   optional serial sanitize pre-pass, shared-table training under
+//!   [`TableMode::Shared`], then the fleet encode loop of [`crate::shard`]
+//!   run as one shard with no table cache. Workers reuse scratch buffers
+//!   ([`SymbolicCodec::encode_into`]) and results are placed by house index,
+//!   so the output is **byte-identical to the serial codec regardless of
+//!   worker count**. [`QuarantinePolicy`] decides whether a failing house
+//!   fails the run or is quarantined.
 //! * **Streaming API** — [`FleetStream`]: feed `(house, chunk)` pairs, drain
 //!   [`WindowEvent`]s; houses are pinned to workers (`house % workers`) so
 //!   per-house symbol order is preserved, and both the per-worker input
@@ -44,7 +38,7 @@ use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::json::JsonWriter;
 use crate::pipeline::{CodecBuilder, SymbolicCodec, VerticalPolicy};
-use crate::pool::{Outcome, PoolStats, RetryPolicy, SupervisorPolicy};
+use crate::pool::{PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
 use crate::quality::{QualityStats, Sanitizer, SanitizerConfig};
 use crate::telemetry::{Log2Histogram, Registry, SpanSnapshot};
 use crate::timeseries::{TimeSeries, Timestamp};
@@ -68,8 +62,10 @@ pub enum TableMode {
 /// deadline skips it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuarantinePolicy {
-    /// The first failing house fails the whole run with a typed error (the
-    /// legacy behavior, minus the process abort).
+    /// A sanitizer rejection fails the whole run; so does a failing encode
+    /// job, which gets one attempt: the lowest-indexed failing house decides
+    /// the error (its encode error, or [`Error::Engine`] carrying its panic
+    /// payload).
     #[default]
     Strict,
     /// Failing houses are quarantined into
@@ -150,7 +146,8 @@ pub struct EngineConfig {
     /// Retry schedule for panicking encode jobs (only consulted under
     /// [`QuarantinePolicy::Isolate`]; the default never retries).
     pub retry: RetryPolicy,
-    /// Per-run deadline for the supervised encode stage.
+    /// Per-run deadline for the supervised encode stage (only consulted
+    /// under [`QuarantinePolicy::Isolate`]).
     pub deadline: Option<Duration>,
     /// Deterministic panic injection for robustness tests (`None` in
     /// production).
@@ -556,26 +553,38 @@ impl FleetEngine {
         let span_encode = telemetry.span("encode");
         let active: Vec<usize> =
             prepared.iter().enumerate().filter(|(_, p)| p.is_some()).map(|(i, _)| i).collect();
-        let mut results: Vec<Option<SymbolicSeries>> = fleet.iter().map(|_| None).collect();
+        let mut encoded: Vec<Option<SymbolicSeries>> = vec![None; fleet.len()];
         let mut pool_stats = PoolStats::default();
         if !active.is_empty() {
-            pool_stats = match self.config.quarantine {
-                QuarantinePolicy::Strict => self.run_batch_strict(
-                    &prepared,
-                    &active,
-                    shared_codec.as_ref(),
-                    workers,
-                    &mut results,
-                )?,
-                QuarantinePolicy::Isolate => self.run_batch_isolated(
-                    &prepared,
-                    &active,
-                    shared_codec.as_ref(),
-                    workers,
-                    &mut results,
-                    &mut quarantined,
-                ),
+            let pool = PoolConfig { workers, channel_capacity: self.config.channel_capacity };
+            let policy = match self.config.quarantine {
+                QuarantinePolicy::Strict => SupervisorPolicy::default(),
+                QuarantinePolicy::Isolate => {
+                    SupervisorPolicy { retry: self.config.retry, deadline: self.config.deadline }
+                }
             };
+            let (results, stats) = crate::shard::encode_houses(
+                &self.builder,
+                &active,
+                |i| prepared[i].as_deref().expect("active houses are prepared"),
+                |_| shared_codec.as_ref(),
+                false,
+                &pool,
+                &policy,
+                self.config.chaos.as_ref(),
+            );
+            pool_stats = stats;
+            for (&house, result) in active.iter().zip(results) {
+                match (result, self.config.quarantine) {
+                    (Ok((s, _)), _) => encoded[house] = Some(s),
+                    // Job order is house order: the lowest failing house
+                    // decides the error.
+                    (Err(reason), QuarantinePolicy::Strict) => return Err(strict_error(reason)),
+                    (Err(reason), QuarantinePolicy::Isolate) => {
+                        quarantined.push(Quarantined { house, reason })
+                    }
+                }
+            }
         }
         drop(span_encode);
         let encode_secs = encode_start.elapsed().as_secs_f64();
@@ -595,31 +604,24 @@ impl FleetEngine {
             (None, true) => {}
         }
 
-        let placeholder = SymbolicSeries::new(self.builder.resolution())?;
-        let series: Vec<SymbolicSeries> = results
-            .into_iter()
-            .enumerate()
-            .map(|(house, r)| match r {
-                Some(s) => Ok(s),
-                None if quarantined.iter().any(|q| q.house == house) => Ok(placeholder.clone()),
-                None => Err(Error::Engine(format!("worker dropped house {house}"))),
-            })
-            .collect::<Result<_>>()?;
-        let symbols_out: u64 = series.iter().map(|s| s.len() as u64).sum();
-        let mut house_symbols = Log2Histogram::new();
-        for s in &series {
-            house_symbols.observe(s.len() as u64);
-        }
-        // Columnar fast-path volume: every active house's aggregated series
+        // Columnar fast-path volume: every encoded house's aggregated series
         // went through `LookupTable::encode_samples_into` as one batch, so
         // its value count equals the house's symbol count. Observed here on
         // the main thread (not in the workers) so the histogram is identical
         // at every worker count.
         let mut encode_batch_values = Log2Histogram::new();
-        for (house, s) in series.iter().enumerate() {
-            if !quarantined.iter().any(|q| q.house == house) {
-                encode_batch_values.observe(s.len() as u64);
-            }
+        for s in encoded.iter().flatten() {
+            encode_batch_values.observe(s.len() as u64);
+        }
+        // Every house without output was quarantined: its slot holds an
+        // empty placeholder so indices stay aligned with the input fleet.
+        let placeholder = SymbolicSeries::new(self.builder.resolution())?;
+        let series: Vec<SymbolicSeries> =
+            encoded.into_iter().map(|s| s.unwrap_or_else(|| placeholder.clone())).collect();
+        let symbols_out: u64 = series.iter().map(|s| s.len() as u64).sum();
+        let mut house_symbols = Log2Histogram::new();
+        for s in &series {
+            house_symbols.observe(s.len() as u64);
         }
         drop(span_run);
         Ok(FleetEncoding {
@@ -663,123 +665,21 @@ impl FleetEngine {
         }
         self.builder.learn_from_values(&pool)
     }
-
-    /// The strict fan-out/fan-in path on the legacy [`crate::pool`] entry
-    /// point: any failing house fails the run (typed error, not an abort).
-    fn run_batch_strict(
-        &self,
-        prepared: &[Option<Cow<'_, TimeSeries>>],
-        active: &[usize],
-        shared: Option<&SymbolicCodec>,
-        workers: usize,
-        results: &mut [Option<SymbolicSeries>],
-    ) -> Result<PoolStats> {
-        let config = crate::pool::PoolConfig {
-            workers,
-            channel_capacity: self.config.channel_capacity.max(1),
-        };
-        let builder = &self.builder;
-        let chaos = self.config.chaos.as_ref();
-        let (encoded, stats) = crate::pool::run_indexed_with(
-            active.len(),
-            &config,
-            || (TimeSeries::new(), SymbolicSeries::new(1).expect("1 bit is a valid resolution")),
-            |(scratch, out), job| {
-                let house = active[job];
-                inject_chaos(chaos, house, 1);
-                let series = prepared[house].as_ref().expect("active houses are prepared");
-                encode_one(series, shared, builder, scratch, out)
-            },
-        )?;
-        // Index order makes which error surfaces deterministic too.
-        for (job, enc) in encoded.into_iter().enumerate() {
-            results[active[job]] = Some(enc?);
-        }
-        Ok(stats)
-    }
-
-    /// The supervised path: panicking jobs are caught and retried per the
-    /// engine's [`RetryPolicy`]; houses that still fail land in
-    /// `quarantined` instead of failing the run.
-    fn run_batch_isolated(
-        &self,
-        prepared: &[Option<Cow<'_, TimeSeries>>],
-        active: &[usize],
-        shared: Option<&SymbolicCodec>,
-        workers: usize,
-        results: &mut [Option<SymbolicSeries>],
-        quarantined: &mut Vec<Quarantined>,
-    ) -> PoolStats {
-        let config = crate::pool::PoolConfig {
-            workers,
-            channel_capacity: self.config.channel_capacity.max(1),
-        };
-        let mut policy = SupervisorPolicy::with_retry(self.config.retry);
-        policy.deadline = self.config.deadline;
-        let builder = &self.builder;
-        let chaos = self.config.chaos.as_ref();
-        let report = crate::pool::run_indexed_supervised_with(
-            active.len(),
-            &config,
-            &policy,
-            || (TimeSeries::new(), SymbolicSeries::new(1).expect("1 bit is a valid resolution")),
-            |(scratch, out), job, attempt| {
-                let house = active[job];
-                inject_chaos(chaos, house, attempt);
-                let series = prepared[house].as_ref().expect("active houses are prepared");
-                encode_one(series, shared, builder, scratch, out)
-            },
-        );
-        for (job, outcome) in report.results.into_iter().enumerate() {
-            let house = active[job];
-            match outcome {
-                Outcome::Ok(Ok(s)) | Outcome::Retried { value: Ok(s), .. } => {
-                    results[house] = Some(s)
-                }
-                Outcome::Ok(Err(e)) | Outcome::Retried { value: Err(e), .. } => quarantined
-                    .push(Quarantined { house, reason: QuarantineReason::EncodeError(e) }),
-                Outcome::Panicked { message, attempts } => quarantined.push(Quarantined {
-                    house,
-                    reason: QuarantineReason::Panicked { message, attempts },
-                }),
-                Outcome::TimedOut => {
-                    quarantined.push(Quarantined { house, reason: QuarantineReason::TimedOut })
-                }
-            }
-        }
-        report.stats
-    }
 }
 
-/// Panics iff the chaos plan poisons this `(house, attempt)` pair. The
-/// panic is deliberately *injected above* the pool's `catch_unwind`, so the
-/// tests exercise the same recovery machinery a genuine encoder bug would.
-fn inject_chaos(plan: Option<&PanicPlan>, house: usize, attempt: u32) {
-    if let Some(plan) = plan {
-        if plan.houses.contains(&house) && attempt <= plan.panics_per_job {
-            panic!("injected fault: house {house} attempt {attempt}");
+/// The error a [`QuarantinePolicy::Strict`] run returns for the failing
+/// house that decides it: an encode error as is, a panic as the pool's
+/// typed [`Error::Engine`] carrying the job's payload.
+fn strict_error(reason: QuarantineReason) -> Error {
+    match reason {
+        QuarantineReason::EncodeError(e) => e,
+        QuarantineReason::Panicked { message, .. } => {
+            Error::Engine(format!("pool worker panicked: {message}"))
         }
+        // A strict run has no deadline, and dirty data fails it before the
+        // encode stage.
+        other => Error::Engine(other.to_string()),
     }
-}
-
-/// Encodes one house, training a per-house codec unless a shared one is given.
-fn encode_one(
-    house: &TimeSeries,
-    shared: Option<&SymbolicCodec>,
-    builder: &CodecBuilder,
-    scratch: &mut TimeSeries,
-    out: &mut SymbolicSeries,
-) -> Result<SymbolicSeries> {
-    let per_house;
-    let codec = match shared {
-        Some(c) => c,
-        None => {
-            per_house = builder.train(house)?;
-            &per_house
-        }
-    };
-    codec.encode_into(house, scratch, out)?;
-    Ok(out.clone())
 }
 
 /// One-shot convenience: encode a fleet and keep only the symbolic series.
@@ -1283,6 +1183,20 @@ mod tests {
         let config = EngineConfig::with_workers(2).chaos(plan);
         let err = FleetEngine::new(builder(), config).encode_fleet(&f).unwrap_err();
         assert!(matches!(err, Error::Engine(ref msg) if msg.contains("panicked")), "{err:?}");
+    }
+
+    #[test]
+    fn strict_error_comes_from_the_lowest_failing_house() {
+        // House 1 fails with a typed error and house 4 panics on every
+        // attempt: the lower house decides the run's error.
+        let mut f = fleet(6, 200);
+        f[1] = TimeSeries::new();
+        let plan = PanicPlan { houses: [4].into_iter().collect(), panics_per_job: u32::MAX };
+        for workers in [1, 2, 8] {
+            let config = EngineConfig::with_workers(workers).chaos(plan.clone());
+            let err = FleetEngine::new(builder(), config).encode_fleet(&f).unwrap_err();
+            assert_eq!(err, Error::EmptyInput("CodecBuilder::train"), "workers={workers}");
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Shared bounded-channel worker pool with optional supervision.
+//! Shared bounded-channel worker pool with supervision.
 //!
-//! The fan-out/fan-in core that [`crate::engine::FleetEngine`] introduced for
-//! fleet encoding, generalized so any indexed batch of independent jobs —
-//! fleet houses, cross-validation folds, experiment-matrix cells — runs
-//! through the same machinery:
+//! Any indexed batch of independent jobs (fleet houses, cross-validation
+//! folds, experiment-matrix cells, gateway session workers) runs through
+//! the same machinery:
 //!
 //! ```text
 //!              ┌──────────┐   job indices    ┌───────────┐
@@ -14,19 +13,16 @@
 //!                                            └───────────┘
 //! ```
 //!
-//! Two entry-point families share that topology:
-//!
-//! * [`run_indexed`] / [`run_indexed_with`] — the fast path. A panicking
-//!   job fails the whole run, but as a typed [`Error::Engine`] `Result`
-//!   rather than a process abort.
-//! * [`run_indexed_supervised`] / [`run_indexed_supervised_with`] — the
-//!   hardened path. Every job executes under `catch_unwind`; a panicking
-//!   job is retried per [`RetryPolicy`] (deterministic jittered backoff),
-//!   bounded by an optional per-run deadline, and reported as a per-job
-//!   [`Outcome`] inside a [`PoolReport`] instead of taking the run down.
-//!   A worker whose thread body itself crashes is re-armed with fresh
-//!   scratch state (a logical respawn), so one panic never shrinks the
-//!   pool.
+//! [`run_indexed_supervised_with`] is the one implementation. Every job
+//! attempt executes under `catch_unwind`; a panicking job is retried per
+//! [`RetryPolicy`] (deterministic jittered backoff), bounded by an optional
+//! per-run deadline, and reported as a per-job [`Outcome`] inside a
+//! [`PoolReport`] instead of taking the run down. A worker whose thread body
+//! itself crashes is re-armed with fresh scratch state (a logical respawn),
+//! so one panic never shrinks the pool. [`run_indexed_supervised`] drops the
+//! per-worker scratch, and [`run_indexed`] is the single-attempt form for
+//! callers that want a plain `Result`: the lowest-indexed panicking job
+//! fails the run with a typed [`Error::Engine`] carrying its panic payload.
 //!
 //! Determinism contract: the collector writes every result back at its job
 //! index, so the output is **independent of worker count and scheduling**
@@ -135,18 +131,10 @@ impl RetryPolicy {
         if jitter_span == 0 {
             return step;
         }
-        let jitter = splitmix64((job as u64) ^ ((attempt as u64) << 32)) % (jitter_span + 1);
+        let jitter =
+            crate::shard::splitmix64((job as u64) ^ ((attempt as u64) << 32)) % (jitter_span + 1);
         (step + Duration::from_nanos(jitter)).min(self.backoff_cap)
     }
-}
-
-/// SplitMix64 — a tiny, well-mixed hash used to derive jitter from job
-/// coordinates without any RNG state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Supervision knobs for one [`run_indexed_supervised`] run.
@@ -349,111 +337,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `n_jobs` independent jobs across a worker pool and returns the
-/// results in job order. `job(idx)` must be a pure function of `idx` for the
-/// output to be deterministic (the pool guarantees placement, the caller
-/// guarantees purity). Fallible jobs simply use `R = Result<T>` and the
-/// caller short-circuits over the ordered results, which keeps *which* error
-/// surfaces deterministic too.
+/// results in job order: the single-attempt, no-deadline form of
+/// [`run_indexed_supervised`]. `job(idx)` must be a pure function of `idx`
+/// for the output to be deterministic (the pool guarantees placement, the
+/// caller guarantees purity). Fallible jobs simply use `R = Result<T>` and
+/// the caller short-circuits over the ordered results, which keeps *which*
+/// error surfaces deterministic too.
 ///
 /// A panicking job fails the whole run with a typed [`Error::Engine`]
-/// instead of aborting the process; callers that must survive poisoned jobs
-/// use [`run_indexed_supervised`].
+/// carrying the panic payload of the lowest-indexed panicking job, instead
+/// of aborting the process; callers that must survive poisoned jobs use
+/// [`run_indexed_supervised`].
 pub fn run_indexed<R, F>(n_jobs: usize, config: &PoolConfig, job: F) -> Result<(Vec<R>, PoolStats)>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    run_indexed_with(n_jobs, config, || (), move |(), idx| job(idx))
-}
-
-/// [`run_indexed`] with per-worker scratch state: `init` runs once on each
-/// worker thread and the resulting state is passed to every job that worker
-/// claims. This is how the fleet encoder keeps allocation-free reusable
-/// buffers without any locking.
-pub fn run_indexed_with<S, R, I, F>(
-    n_jobs: usize,
-    config: &PoolConfig,
-    init: I,
-    job: F,
-) -> Result<(Vec<R>, PoolStats)>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let workers = config.effective_workers(n_jobs);
-    let cap = config.channel_capacity.max(1);
-    let mut stats =
-        PoolStats { workers, jobs: n_jobs, queue_capacity: cap, ..PoolStats::default() };
-    if n_jobs == 0 {
-        return Ok((Vec::new(), stats));
+    let report =
+        run_indexed_supervised(n_jobs, config, &SupervisorPolicy::default(), |idx, _| job(idx));
+    if let Some(failure) = report.errors.first() {
+        return Err(Error::Engine(format!("pool worker panicked: {}", failure.message)));
     }
-
-    let mut results: Vec<Option<R>> = (0..n_jobs).map(|_| None).collect();
-    let high_water = AtomicUsize::new(0);
-    let shards = ShardSet::new(workers);
-    // `std::thread::scope` (under the compat crossbeam wrapper) re-raises a
-    // spawned thread's panic on the joining thread; catching it here turns
-    // "one poisoned job aborts the fleet run" into a typed error. The
-    // `AssertUnwindSafe` is sound because on the error path every borrowed
-    // value (`results`, the gauges) is either discarded or written only
-    // through atomics.
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        crossbeam::thread::scope(|s| {
-            let (job_tx, job_rx) = channel::bounded::<usize>(cap);
-            let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-            for w in 0..workers {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                let (init, job, shards) = (&init, &job, &shards);
-                s.spawn(move |_| {
-                    let mut state = init();
-                    for idx in job_rx.iter() {
-                        let r = job(&mut state, idx);
-                        // Every fast-path job resolves on its first try;
-                        // the shard still records per worker so the merge
-                        // (index order, commutative adds) is exercised on
-                        // every run, not only under supervision.
-                        shards.with(w, |sh| sh.observe("sms_pool_job_attempts", 1));
-                        if res_tx.send((idx, r)).is_err() {
-                            break; // collector is gone
-                        }
-                    }
-                });
-            }
-            drop(job_rx);
-            drop(res_tx);
-            for idx in 0..n_jobs {
-                if job_tx.send(idx).is_err() {
-                    // Workers only vanish by panicking; the panic will
-                    // surface when the scope joins them, so just stop
-                    // feeding and let that error win.
-                    break;
-                }
-                // Sample the channel's exact depth after each enqueue. A
-                // sample can only undershoot the instantaneous peak, never
-                // report more jobs than the bounded channel can hold.
-                high_water.fetch_max(job_tx.len(), Ordering::Relaxed);
-            }
-            drop(job_tx);
-            for (idx, r) in res_rx.iter() {
-                results[idx] = Some(r);
-            }
-        })
-        .expect("compat scope propagates panics instead of returning Err");
-    }));
-    if let Err(payload) = run {
-        return Err(Error::Engine(format!("pool worker panicked: {}", panic_message(&*payload))));
-    }
-
-    stats.max_queue_depth = high_water.load(Ordering::Relaxed);
-    stats.job_attempts = shards.merged().histogram("sms_pool_job_attempts");
-    let results = results
-        .into_iter()
-        .enumerate()
-        .map(|(idx, r)| r.ok_or_else(|| Error::Engine(format!("job {idx} produced no result"))))
-        .collect::<Result<Vec<R>>>()?;
-    Ok((results, stats))
+    let results = report.results.into_iter().filter_map(Outcome::into_value).collect();
+    Ok((results, report.stats))
 }
 
 /// [`run_indexed_supervised_with`] without per-worker scratch state. The
@@ -609,7 +515,9 @@ where
             if job_tx.send(idx).is_err() {
                 break; // all workers gone (only possible via repeated crashes)
             }
-            // Exact post-enqueue sample; see `run_indexed_with`.
+            // Sample the channel's exact depth after each enqueue. A
+            // sample can only undershoot the instantaneous peak, never
+            // report more jobs than the bounded channel can hold.
             high_water.fetch_max(job_tx.len(), Ordering::Relaxed);
         }
         drop(job_tx);
@@ -727,19 +635,21 @@ mod tests {
     #[test]
     fn per_worker_state_is_initialized_once_per_thread() {
         let inits = AtomicU64::new(0);
-        let (got, stats) = run_indexed_with(
+        let report = run_indexed_supervised_with(
             50,
             &PoolConfig::with_workers(4),
+            &SupervisorPolicy::default(),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 Vec::<usize>::new()
             },
-            |scratch, idx| {
+            |scratch, idx, _attempt| {
                 scratch.push(idx); // reused buffer, grows per worker
                 idx
             },
-        )
-        .unwrap();
+        );
+        let stats = report.stats;
+        let got: Vec<usize> = report.into_successes().into_iter().map(|(_, v)| v).collect();
         assert_eq!(got, (0..50).collect::<Vec<_>>());
         assert_eq!(inits.load(Ordering::Relaxed) as usize, stats.workers);
     }
@@ -785,6 +695,24 @@ mod tests {
                 }
                 other => panic!("expected Engine error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn run_indexed_error_carries_the_job_panic_payload() {
+        for workers in [1, 4] {
+            let err = run_indexed(16, &PoolConfig::with_workers(workers), |i| {
+                if i == 7 {
+                    panic!("poisoned job {i}");
+                }
+                i
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                Error::Engine("pool worker panicked: poisoned job 7".to_string()),
+                "workers={workers}"
+            );
         }
     }
 

@@ -9,7 +9,7 @@
 //!   (avoids bias toward heavily repeated values such as standby power).
 
 use crate::error::{Error, Result};
-use crate::stats::{OrderedMultiset, P2Quantile};
+use crate::stats::{OrderedMultiset, QuantileSketch};
 
 /// Which separator-generation strategy to use (paper §2.2 a–c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -387,26 +387,17 @@ pub fn learn_separators_from_sample(
 
 /// Streaming separator learner for the sensor side: feeds values one at a
 /// time, then produces separators. `Exact` keeps an order-statistics multiset
-/// (exact quantiles, memory ∝ distinct values); `Approximate` keeps one P²
-/// estimator per boundary (constant memory) and supports only
-/// [`SeparatorMethod::Median`] and [`SeparatorMethod::Uniform`].
+/// (exact quantiles, memory ∝ distinct values); `Approximate` keeps one
+/// [`QuantileSketch`] (memory logarithmic in the stream length, with a
+/// tracked rank-error bound) and supports only [`SeparatorMethod::Median`]
+/// and [`SeparatorMethod::Uniform`].
 #[derive(Debug, Clone)]
 pub struct StreamingLearner(LearnerImpl);
 
 #[derive(Debug, Clone)]
 enum LearnerImpl {
-    Exact {
-        method: SeparatorMethod,
-        k: usize,
-        multiset: OrderedMultiset,
-    },
-    Approximate {
-        method: SeparatorMethod,
-        k: usize,
-        estimators: Vec<P2Quantile>,
-        max: f64,
-        count: u64,
-    },
+    Exact { method: SeparatorMethod, k: usize, multiset: OrderedMultiset },
+    Approximate { method: SeparatorMethod, k: usize, sketch: QuantileSketch },
 }
 
 impl StreamingLearner {
@@ -416,8 +407,8 @@ impl StreamingLearner {
         Ok(StreamingLearner(LearnerImpl::Exact { method, k, multiset: OrderedMultiset::new() }))
     }
 
-    /// Approximate constant-memory learner (Median or Uniform only —
-    /// distinct-value quantiles have no constant-memory sketch here).
+    /// Approximate sketch-backed learner (Median or Uniform only —
+    /// distinct-value quantiles have no sketch here).
     pub fn approximate(method: SeparatorMethod, k: usize) -> Result<Self> {
         validate_k(k)?;
         if method == SeparatorMethod::DistinctMedian {
@@ -426,14 +417,10 @@ impl StreamingLearner {
                 reason: "distinctmedian is not supported by the approximate learner".to_string(),
             });
         }
-        let estimators =
-            (1..k).map(|i| P2Quantile::new(i as f64 / k as f64)).collect::<Result<Vec<_>>>()?;
         Ok(StreamingLearner(LearnerImpl::Approximate {
             method,
             k,
-            estimators,
-            max: f64::NEG_INFINITY,
-            count: 0,
+            sketch: QuantileSketch::with_default_capacity(),
         }))
     }
 
@@ -441,19 +428,15 @@ impl StreamingLearner {
     pub fn push(&mut self, v: f64) -> Result<()> {
         match &mut self.0 {
             LearnerImpl::Exact { multiset, .. } => multiset.insert(v),
-            LearnerImpl::Approximate { estimators, max, count, .. } => {
+            LearnerImpl::Approximate { sketch, .. } => {
+                // The sketch orders ±∞; separators need finite values.
                 if !v.is_finite() {
                     return Err(Error::InvalidParameter {
                         name: "value",
                         reason: format!("must be finite, got {v}"),
                     });
                 }
-                for e in estimators.iter_mut() {
-                    e.push(v);
-                }
-                *max = max.max(v);
-                *count += 1;
-                Ok(())
+                sketch.update(v)
             }
         }
     }
@@ -462,7 +445,7 @@ impl StreamingLearner {
     pub fn count(&self) -> u64 {
         match &self.0 {
             LearnerImpl::Exact { multiset, .. } => multiset.len(),
-            LearnerImpl::Approximate { count, .. } => *count,
+            LearnerImpl::Approximate { sketch, .. } => sketch.count(),
         }
     }
 
@@ -500,19 +483,19 @@ impl StreamingLearner {
                     )),
                 }
             }
-            LearnerImpl::Approximate { method, k, estimators, max, count } => {
-                if *count == 0 {
+            LearnerImpl::Approximate { method, k, sketch } => {
+                if sketch.is_empty() {
                     return Err(Error::EmptyInput("StreamingLearner::separators"));
                 }
+                let view = sketch.sorted_view();
+                let quantile = |q: f64| view.quantile(q).expect("non-empty");
                 match method {
-                    SeparatorMethod::Uniform => uniform_separators(max.max(f64::MIN_POSITIVE), *k),
-                    _ => {
-                        // P² estimators run independently; enforce the same
-                        // strictly-increasing invariant as the exact paths.
-                        let seps: Vec<f64> =
-                            estimators.iter().map(|e| e.estimate().expect("count > 0")).collect();
-                        Ok(strictly_increasing(seps))
+                    SeparatorMethod::Uniform => {
+                        uniform_separators(quantile(1.0).max(f64::MIN_POSITIVE), *k)
                     }
+                    _ => Ok(strictly_increasing(
+                        (1..*k).map(|i| quantile(i as f64 / *k as f64)).collect(),
+                    )),
                 }
             }
         }

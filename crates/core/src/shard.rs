@@ -1,11 +1,6 @@
-//! Sharded fleet state: consistent hashing of house → shard, per-shard
-//! lookup-table caches, and shard-local supervised pools feeding a
-//! deterministic merge stage.
-//!
-//! The monolithic [`crate::engine::FleetEngine`] holds one flat state for
-//! the whole fleet; at the ROADMAP's million-house scale that is one giant
-//! allocation, one pool, and one lock for everything. This module
-//! partitions that state:
+//! Sharded fleet state and the crate's one fleet encode loop: consistent
+//! hashing of house → shard, per-shard lookup-table caches, and supervised
+//! pools feeding a deterministic merge stage.
 //!
 //! * [`ShardRouter`] — a consistent-hash ring (32 virtual nodes per shard,
 //!   [`splitmix64`]-placed) maps each house id to a shard. Adding a shard
@@ -14,10 +9,13 @@
 //! * [`TableCache`] — per-shard LRU of learned [`LookupTable`]s keyed by
 //!   house, so re-encoding a house it has seen before skips the training
 //!   pass entirely.
-//! * [`ShardedFleetEngine`] — per shard: a serial cache pre-pass, a
-//!   shard-local supervised pool ([`crate::pool`]) running the pure
+//! * [`ShardedFleetEngine`] — per shard: a serial cache pre-pass, the fleet
+//!   encode loop on a supervised pool ([`crate::pool`]) running the pure
 //!   train+encode jobs, then a **serial merge stage** that places results
 //!   by input index and applies cache inserts in index order.
+//!
+//! [`crate::engine::FleetEngine`] runs the same loop as one shard with no
+//! table cache, after its sanitize pre-pass and shared-table training.
 //!
 //! ## Determinism contract
 //!
@@ -40,15 +38,16 @@
 //! per shard); only the [`ShardStats`] counters see that, never the
 //! encoded bytes.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use crate::adaptive::{check_threshold, check_window, AdaptiveStats, DriftDetector};
-use crate::engine::{QuarantineReason, Quarantined};
+use crate::engine::{PanicPlan, QuarantineReason, Quarantined};
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::ingest::{FleetIngest, IngestConfig, IngestStats};
 use crate::lookup::LookupTable;
-use crate::pipeline::CodecBuilder;
+use crate::pipeline::{CodecBuilder, SymbolicCodec};
 use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
 use crate::telemetry::Registry;
 use crate::timeseries::TimeSeries;
@@ -58,9 +57,8 @@ use crate::timeseries::TimeSeries;
 /// whole ring still fits in one cache line per shard.
 pub const VNODES_PER_SHARD: usize = 32;
 
-/// SplitMix64 — the finalizer used across the crate for deterministic,
-/// seed-stable hashing (same constants as [`crate::pool`]'s internal
-/// copy). Public here because shard routing *is* the hash: callers
+/// SplitMix64 — the crate's one finalizer for deterministic, seed-stable
+/// hashing. Public here because shard routing *is* the hash: callers
 /// verifying placement externally need bit-identical values.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -592,6 +590,7 @@ impl ShardedFleetEngine {
 
         let policy = SupervisorPolicy::with_retry(self.config.retry);
         let pool_cfg = PoolConfig::with_workers(self.config.workers);
+        let keep_tables = self.config.table_cache_capacity > 0;
         for (shard, idxs) in by_shard.iter().enumerate() {
             if idxs.is_empty() {
                 continue;
@@ -599,69 +598,51 @@ impl ShardedFleetEngine {
             // Serial cache pre-pass: decide per house, *before* the pool
             // runs, whether training is skipped — the pool never touches
             // the cache, so worker scheduling cannot reorder its state.
-            let cached: Vec<Option<LookupTable>> =
-                idxs.iter().map(|&i| self.caches[shard].get(fleet[i].0).cloned()).collect();
-
-            let builder = &self.builder;
-            let report = crate::pool::run_indexed_supervised_with(
-                idxs.len(),
+            let cached: Vec<Option<SymbolicCodec>> = idxs
+                .iter()
+                .map(|&i| {
+                    let table = self.caches[shard].get(fleet[i].0)?;
+                    Some(self.builder.clone().with_table(table.clone()))
+                })
+                .collect();
+            let (results, stats) = encode_houses(
+                &self.builder,
+                idxs,
+                |i| &fleet[i].1,
+                |j| cached[j].as_ref(),
+                keep_tables,
                 &pool_cfg,
                 &policy,
-                || (),
-                |(), j, _attempt| -> Result<(SymbolicSeries, Option<LookupTable>)> {
-                    let (_, ts) = &fleet[idxs[j]];
-                    match &cached[j] {
-                        Some(table) => {
-                            let codec = builder.clone().with_table(table.clone());
-                            Ok((codec.encode(ts)?, None))
-                        }
-                        None => {
-                            let codec = builder.train(ts)?;
-                            let table = codec.table().clone();
-                            Ok((codec.encode(ts)?, Some(table)))
-                        }
-                    }
-                },
+                None,
             );
 
             // Deterministic merge: placement by input index, cache inserts
             // in index order, failures quarantined in index order.
             let merge_t = std::time::Instant::now();
-            for (j, outcome) in report.results.into_iter().enumerate() {
-                let idx = idxs[j];
-                let house = fleet[idx].0;
-                let reason = match outcome {
-                    Outcome::Ok(Ok((s, table)))
-                    | Outcome::Retried { value: Ok((s, table)), .. } => {
+            for (&idx, result) in idxs.iter().zip(results) {
+                match result {
+                    Ok((s, table)) => {
                         if let Some(table) = table {
-                            self.caches[shard].insert(house, table);
+                            self.caches[shard].insert(fleet[idx].0, table);
                         }
                         series[idx] = Some(s);
-                        continue;
                     }
-                    Outcome::Ok(Err(e)) | Outcome::Retried { value: Err(e), .. } => {
-                        QuarantineReason::EncodeError(e)
-                    }
-                    Outcome::Panicked { message, attempts } => {
-                        QuarantineReason::Panicked { message, attempts }
-                    }
-                    Outcome::TimedOut => QuarantineReason::TimedOut,
-                };
-                quarantined.push(Quarantined { house: idx, reason });
+                    Err(reason) => quarantined.push(Quarantined { house: idx, reason }),
+                }
             }
             self.stats.merge_wait_secs += merge_t.elapsed().as_secs_f64();
 
-            self.pool_stats.workers = self.pool_stats.workers.max(report.stats.workers);
-            self.pool_stats.jobs += report.stats.jobs;
-            self.pool_stats.queue_capacity = report.stats.queue_capacity;
+            self.pool_stats.workers = self.pool_stats.workers.max(stats.workers);
+            self.pool_stats.jobs += stats.jobs;
+            self.pool_stats.queue_capacity = stats.queue_capacity;
             self.pool_stats.max_queue_depth =
-                self.pool_stats.max_queue_depth.max(report.stats.max_queue_depth);
-            self.pool_stats.panics += report.stats.panics;
-            self.pool_stats.retries += report.stats.retries;
-            self.pool_stats.gave_up += report.stats.gave_up;
-            self.pool_stats.deadline_exceeded += report.stats.deadline_exceeded;
-            self.pool_stats.respawns += report.stats.respawns;
-            self.pool_stats.job_attempts.merge(&report.stats.job_attempts);
+                self.pool_stats.max_queue_depth.max(stats.max_queue_depth);
+            self.pool_stats.panics += stats.panics;
+            self.pool_stats.retries += stats.retries;
+            self.pool_stats.gave_up += stats.gave_up;
+            self.pool_stats.deadline_exceeded += stats.deadline_exceeded;
+            self.pool_stats.respawns += stats.respawns;
+            self.pool_stats.job_attempts.merge(&stats.job_attempts);
         }
 
         quarantined.sort_by_key(|q| q.house);
@@ -677,6 +658,78 @@ impl ShardedFleetEngine {
         }
         let epochs = fleet.iter().map(|(house, _)| self.house_epoch(*house)).collect();
         Ok(ShardedEncoding { series, quarantined, epochs })
+    }
+}
+
+/// One job of [`encode_houses`]: the encoded series plus the table it
+/// trained (when tables are kept), or why the house produced nothing.
+pub(crate) type HouseResult =
+    std::result::Result<(SymbolicSeries, Option<LookupTable>), QuarantineReason>;
+
+/// The crate's fleet encode loop. Job `j` encodes input `idxs[j]`, read
+/// through `series`, on the supervised pool: with `codec(j)` when one is
+/// given (a cache hit or the shared table), otherwise with a codec trained
+/// on the house itself. Each worker reuses its scratch buffers across
+/// houses through [`SymbolicCodec::encode_into`], so the output equals
+/// [`SymbolicCodec::encode`]. Results come back in job order; a trained
+/// table is returned only under `keep_tables` (a cache will keep it).
+/// `chaos` panics chosen inputs above the pool's `catch_unwind`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn encode_houses<'a>(
+    builder: &CodecBuilder,
+    idxs: &[usize],
+    series: impl Fn(usize) -> &'a TimeSeries + Sync,
+    codec: impl Fn(usize) -> Option<&'a SymbolicCodec> + Sync,
+    keep_tables: bool,
+    pool: &PoolConfig,
+    policy: &SupervisorPolicy,
+    chaos: Option<&PanicPlan>,
+) -> (Vec<HouseResult>, PoolStats) {
+    let report = crate::pool::run_indexed_supervised_with(
+        idxs.len(),
+        pool,
+        policy,
+        || (TimeSeries::new(), SymbolicSeries::new(1).expect("1 bit is a valid resolution")),
+        |(scratch, out), j, attempt| -> Result<(SymbolicSeries, Option<LookupTable>)> {
+            inject_chaos(chaos, idxs[j], attempt);
+            let ts = series(idxs[j]);
+            let codec = match codec(j) {
+                Some(given) => Cow::Borrowed(given),
+                None => Cow::Owned(builder.train(ts)?),
+            };
+            codec.encode_into(ts, scratch, out)?;
+            let table = match &codec {
+                Cow::Owned(trained) if keep_tables => Some(trained.table().clone()),
+                _ => None,
+            };
+            Ok((out.clone(), table))
+        },
+    );
+    let results = report
+        .results
+        .into_iter()
+        .map(|outcome| match outcome {
+            Outcome::Ok(Ok(v)) | Outcome::Retried { value: Ok(v), .. } => Ok(v),
+            Outcome::Ok(Err(e)) | Outcome::Retried { value: Err(e), .. } => {
+                Err(QuarantineReason::EncodeError(e))
+            }
+            Outcome::Panicked { message, attempts } => {
+                Err(QuarantineReason::Panicked { message, attempts })
+            }
+            Outcome::TimedOut => Err(QuarantineReason::TimedOut),
+        })
+        .collect();
+    (results, report.stats)
+}
+
+/// Panics iff the chaos plan poisons this `(house, attempt)` pair. The
+/// panic is deliberately *injected above* the pool's `catch_unwind`, so the
+/// tests exercise the same recovery machinery a genuine encoder bug would.
+fn inject_chaos(plan: Option<&PanicPlan>, house: usize, attempt: u32) {
+    if let Some(plan) = plan {
+        if plan.houses.contains(&house) && attempt <= plan.panics_per_job {
+            panic!("injected fault: house {house} attempt {attempt}");
+        }
     }
 }
 
@@ -857,6 +910,11 @@ mod tests {
         let serial = FleetEngine::new(builder(), EngineConfig::with_workers(1))
             .encode_fleet(&plain)
             .unwrap();
+        // `FleetEngine` runs the same encode loop, so pin it to the serial
+        // codec too.
+        for ((_, ts), s) in fleet.iter().zip(&serial.series) {
+            assert_eq!(*s, builder().train(ts).unwrap().encode(ts).unwrap());
+        }
         for shards in [1usize, 4, 16] {
             for workers in [1usize, 2, 8] {
                 let cfg = ShardedEngineConfig::with_shards(shards).workers(workers);

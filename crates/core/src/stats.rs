@@ -141,138 +141,6 @@ impl ExactQuantiles {
     }
 }
 
-/// P² (Jain & Chlamtac) streaming quantile estimator: constant memory,
-/// one pass. Used as the approximate alternative to [`ExactQuantiles`] in
-/// sensor-side separator learning (ablation in `benches/separators.rs`).
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based as in the paper).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    count: usize,
-    /// Initial observations buffer until we have 5.
-    init: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile, `0 < q < 1`.
-    pub fn new(q: f64) -> Result<Self> {
-        if !(0.0..=1.0).contains(&q) || q == 0.0 || q == 1.0 {
-            return Err(Error::InvalidParameter {
-                name: "q",
-                reason: format!("must be strictly between 0 and 1, got {q}"),
-            });
-        }
-        Ok(P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            init: Vec::with_capacity(5),
-        })
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        if self.init.len() < 5 {
-            self.init.push(v);
-            if self.init.len() == 5 {
-                self.init.sort_by(|a, b| a.partial_cmp(b).expect("NaN in P2 input"));
-                self.heights.copy_from_slice(&self.init);
-            }
-            return;
-        }
-
-        // Find cell k such that heights[k] <= v < heights[k+1].
-        let k = if v < self.heights[0] {
-            self.heights[0] = v;
-            0
-        } else if v >= self.heights[4] {
-            self.heights[4] = v;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.heights[i] <= v && v < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let parabolic = self.parabolic(i, d);
-                let new_h = if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    parabolic
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate (`None` until at least one observation).
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.init.len() < 5 {
-            // Fall back to an exact small-sample quantile.
-            let mut v = self.init.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in P2 input"));
-            let pos = self.q * (v.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            return Some(v[lo] + (v[hi] - v[lo]) * (pos - lo as f64));
-        }
-        Some(self.heights[2])
-    }
-
-    /// Observations consumed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
 /// Order-statistics multiset over finite floats: supports streaming insert
 /// and exact median / distinct-median queries at any time. Backs the Fig. 4
 /// accumulative-statistics experiment and the exact separator learners.
@@ -863,38 +731,6 @@ mod tests {
         assert_eq!(q.quantile(1.0), 4.0);
         assert!((q.median() - 2.5).abs() < 1e-12);
         assert!(ExactQuantiles::new(&[]).is_err());
-    }
-
-    #[test]
-    fn p2_close_to_exact_on_uniform_stream() {
-        // Deterministic pseudo-uniform stream via a simple LCG.
-        let mut state: u64 = 42;
-        let mut p2 = P2Quantile::new(0.5).unwrap();
-        let mut all = Vec::new();
-        for _ in 0..20_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = (state >> 11) as f64 / (1u64 << 53) as f64;
-            p2.push(v);
-            all.push(v);
-        }
-        let exact = ExactQuantiles::new(&all).unwrap().median();
-        let approx = p2.estimate().unwrap();
-        assert!((approx - exact).abs() < 0.02, "approx {approx} vs exact {exact}");
-    }
-
-    #[test]
-    fn p2_small_sample_falls_back_to_exact() {
-        let mut p2 = P2Quantile::new(0.5).unwrap();
-        p2.push(10.0);
-        assert_eq!(p2.estimate(), Some(10.0));
-        p2.push(20.0);
-        assert!((p2.estimate().unwrap() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn p2_rejects_degenerate_q() {
-        assert!(P2Quantile::new(0.0).is_err());
-        assert!(P2Quantile::new(1.0).is_err());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 # Local CI gate (GitHub Actions is unavailable in this environment).
 #
 #   scripts/ci.sh          # everything: fmt, clippy, tier-1, full suite
-#   scripts/ci.sh --quick  # skip the full --workspace test pass
+#   scripts/ci.sh --quick  # skip the full --workspace test pass; run
+#                          # sms-core's unit tests in its place
 #
 # Tier-1 (the must-stay-green contract, see README "Tests and benches"):
 #   cargo build --release && cargo test -q
@@ -126,6 +127,9 @@ if [[ $quick -eq 0 ]]; then
 
     echo "==> telemetry: OBSERVABILITY.md vs live registry"
     scripts/check_metrics_docs.sh
+else
+    echo "==> sms-core unit tests: cargo test -q -p sms-core --lib"
+    cargo test -q -p sms-core --lib
 fi
 
 echo "==> docs freshness: README/DESIGN.md vs sms_core public modules"
