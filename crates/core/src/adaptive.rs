@@ -28,7 +28,7 @@ use crate::error::{Error, Result};
 use crate::lookup::LookupTable;
 use crate::separators::SeparatorMethod;
 use crate::stats::QuantileSketch;
-use crate::telemetry::{Log2Histogram, Registry};
+use crate::telemetry::Log2Histogram;
 use crate::timeseries::Timestamp;
 use crate::vertical::Aggregation;
 
@@ -223,6 +223,23 @@ pub struct AdaptiveStats {
     pub cutover_lag: Log2Histogram,
 }
 
+crate::telemetry::declare_metrics! {
+    AdaptiveStats as adaptive {
+        add rebuilds, "rebuilds", "Lookup-table rebuilds triggered by the drift detector.";
+        add suppressed_hysteresis, "decisions",
+            "Over-threshold drift readings suppressed because the detector was not re-armed.";
+        add suppressed_min_interval, "decisions",
+            "Over-threshold drift readings suppressed by the minimum rebuild interval.";
+        add epochs_shipped, "epochs", "Epoch-versioned lookup tables shipped after drift cutover.";
+        set sketch_bytes, "bytes",
+            "Bytes held by streaming quantile sketches across all drift detectors.";
+        add samples, "samples", "Raw samples folded into drift detectors.";
+        add symbols, "symbols", "Symbols emitted by adaptive encoders.";
+        merge_histogram cutover_lag, "samples",
+            "Samples between a suppressed over-threshold drift reading and the eventual rebuild.";
+    }
+}
+
 impl AdaptiveStats {
     /// Folds another run's counters into this one (histograms merge
     /// commutatively; the sketch-bytes gauge adds, since fleet totals are
@@ -236,20 +253,6 @@ impl AdaptiveStats {
         self.samples += other.samples;
         self.symbols += other.symbols;
         self.cutover_lag.merge(&other.cutover_lag);
-    }
-
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("adaptive");
-        reg.add("sms_adaptive_rebuilds", self.rebuilds);
-        reg.add("sms_adaptive_suppressed_hysteresis", self.suppressed_hysteresis);
-        reg.add("sms_adaptive_suppressed_min_interval", self.suppressed_min_interval);
-        reg.add("sms_adaptive_epochs_shipped", self.epochs_shipped);
-        reg.set("sms_adaptive_sketch_bytes", self.sketch_bytes);
-        reg.add("sms_adaptive_samples", self.samples);
-        reg.add("sms_adaptive_symbols", self.symbols);
-        reg.merge_histogram("sms_adaptive_cutover_lag", &self.cutover_lag);
     }
 }
 

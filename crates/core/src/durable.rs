@@ -58,7 +58,6 @@ use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::segstore::{SegmentMeta, SegmentStore};
 use crate::shard::ShardRouter;
-use crate::telemetry::Registry;
 
 // --- CRC32 ----------------------------------------------------------------
 
@@ -691,21 +690,25 @@ pub struct DurableStats {
     pub shard_failovers: u64,
 }
 
-impl DurableStats {
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("durable");
-        reg.add("sms_durable_wal_appends", self.wal_appends);
-        reg.add("sms_durable_wal_bytes", self.wal_bytes);
-        reg.add("sms_durable_fsyncs", self.fsyncs);
-        reg.add("sms_durable_torn_records_dropped", self.torn_records_dropped);
-        reg.add("sms_durable_checkpoints", self.checkpoints);
-        reg.add("sms_durable_recoveries", self.recoveries);
-        reg.add("sms_durable_replayed_records", self.replayed_records);
-        reg.add("sms_durable_shard_failovers", self.shard_failovers);
+crate::telemetry::declare_metrics! {
+    DurableStats as durable {
+        add wal_appends, "records", "Records appended to the write-ahead log.";
+        add wal_bytes, "bytes", "Bytes appended to the write-ahead log, record headers included.";
+        add fsyncs, "syncs",
+            "Backend sync calls (WAL group commits, checkpoint/manifest/directory syncs).";
+        add torn_records_dropped, "records",
+            "Torn or corrupt WAL tail records discarded (and truncated away) during recovery.";
+        add checkpoints, "checkpoints",
+            "Atomic checkpoints committed (image synced, renamed, manifest record durable).";
+        add recoveries, "recoveries", "Recoveries performed over existing on-disk state at open.";
+        add replayed_records, "records",
+            "WAL records replayed on top of a checkpoint during recovery.";
+        add shard_failovers, "failovers",
+            "Shards marked dead after backend I/O errors, houses re-routed to successor vnodes.";
     }
+}
 
+impl DurableStats {
     /// Adds `other`'s counters into `self` (for aggregating shards or
     /// sweep iterations).
     pub fn merge(&mut self, other: &DurableStats) {
@@ -1150,6 +1153,7 @@ impl<S: Storage> DurableFleet<S> {
 mod tests {
     use super::*;
     use crate::pipeline::CodecBuilder;
+    use crate::telemetry::Registry;
     use crate::timeseries::TimeSeries;
 
     fn series(house: u64, n: usize) -> SymbolicSeries {

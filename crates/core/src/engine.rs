@@ -280,6 +280,36 @@ pub struct EngineStats {
     pub spans: Vec<SpanSnapshot>,
 }
 
+crate::telemetry::declare_metrics! {
+    EngineStats as engine {
+        set workers, "threads", "Worker threads used by the fleet engine.";
+        set houses, "houses", "Households encoded in the run.";
+        add samples_in, "samples", "Raw samples consumed by the engine.";
+        add symbols_out, "symbols", "Symbols produced by the engine.";
+        set_f64 train_secs, "seconds", "Wall time of the up-front training stage.";
+        set_f64 encode_secs, "seconds", "Wall time of the parallel encode stage.";
+        set_f64 samples_per_sec = Self::samples_per_sec, "samples/second",
+            "Raw samples consumed per wall-clock second.";
+        set_f64 symbols_per_sec = Self::symbols_per_sec, "symbols/second",
+            "Symbols produced per wall-clock second.";
+        merge_histogram house_samples, "samples", "Per-house input sample counts.";
+        merge_histogram house_symbols, "symbols", "Per-house output symbol counts.";
+        merge_histogram encode_batch_values, "values",
+            "Per-house value counts pushed through the columnar encode fast path.";
+    } then {
+        register_into ingest;
+        register_into eval;
+        register_into pool;
+        register_into quality;
+        register_into gateway;
+        register_into shard;
+        register_into store;
+        register_into durable;
+        register_into adaptive;
+        record_span spans;
+    }
+}
+
 /// Timing counters for a parallel evaluation run (cross-validated
 /// classification cells dispatched through [`crate::pool`]). Mirrors the
 /// paper's habit of reporting *processing time* next to F-measure
@@ -305,18 +335,16 @@ pub struct EvalStats {
     pub fold_test_rows: Log2Histogram,
 }
 
-impl EvalStats {
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("eval");
-        reg.add("sms_eval_cells", self.cells);
-        reg.add("sms_eval_folds", self.folds);
-        reg.set_f64("sms_eval_train_secs", self.train_secs);
-        reg.set_f64("sms_eval_test_secs", self.test_secs);
-        reg.set("sms_eval_workers", self.workers as u64);
-        reg.set_max("sms_eval_max_queue_depth", self.max_queue_depth as u64);
-        reg.merge_histogram("sms_eval_fold_test_rows", &self.fold_test_rows);
+crate::telemetry::declare_metrics! {
+    EvalStats as eval {
+        add cells, "cells", "Experiment cells completed.";
+        add folds, "folds", "Cross-validation folds executed.";
+        set_f64 train_secs, "seconds", "Total per-fold training wall time.";
+        set_f64 test_secs, "seconds", "Total per-fold prediction wall time.";
+        set workers, "threads", "Worker threads used by the evaluation pool.";
+        set_max max_queue_depth, "jobs", "High-water mark of the evaluation pool's job queue.";
+        merge_histogram fold_test_rows, "rows",
+            "Test-set sizes of the executed cross-validation folds.";
     }
 }
 
@@ -331,100 +359,19 @@ impl EngineStats {
         self.symbols_out as f64 / (self.train_secs + self.encode_secs).max(f64::MIN_POSITIVE)
     }
 
-    /// Registers every metric of this run — the engine block plus every
-    /// present sub-block and recorded span — into `reg`. This is how a
-    /// `repro <exp> --metrics` session registry picks up a finished run's
-    /// counters for the Prometheus exporter.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("engine");
-        reg.set("sms_engine_workers", self.workers as u64);
-        reg.set("sms_engine_houses", self.houses as u64);
-        reg.add("sms_engine_samples_in", self.samples_in);
-        reg.add("sms_engine_symbols_out", self.symbols_out);
-        reg.set_f64("sms_engine_train_secs", self.train_secs);
-        reg.set_f64("sms_engine_encode_secs", self.encode_secs);
-        reg.set_f64("sms_engine_samples_per_sec", self.samples_per_sec());
-        reg.set_f64("sms_engine_symbols_per_sec", self.symbols_per_sec());
-        reg.merge_histogram("sms_engine_house_samples", &self.house_samples);
-        reg.merge_histogram("sms_engine_house_symbols", &self.house_symbols);
-        reg.merge_histogram("sms_engine_encode_batch_values", &self.encode_batch_values);
-        if let Some(ingest) = &self.ingest {
-            ingest.register_into(reg);
-        }
-        if let Some(eval) = &self.eval {
-            eval.register_into(reg);
-        }
-        if let Some(pool) = &self.pool {
-            pool.register_into(reg);
-        }
-        if let Some(quality) = &self.quality {
-            quality.register_into(reg);
-        }
-        if let Some(gateway) = &self.gateway {
-            gateway.register_into(reg);
-        }
-        if let Some(shard) = &self.shard {
-            shard.register_into(reg);
-        }
-        if let Some(store) = &self.store {
-            store.register_into(reg);
-        }
-        if let Some(durable) = &self.durable {
-            durable.register_into(reg);
-        }
-        if let Some(adaptive) = &self.adaptive {
-            adaptive.register_into(reg);
-        }
-        for s in &self.spans {
-            reg.record_span(&s.path, s.calls, s.secs);
-        }
-    }
-
-    /// JSON object for benchmark trajectories. Scalar keys are unchanged
-    /// from the pre-telemetry layout (they now render from the
-    /// [`crate::telemetry::CATALOG`]); the `"histograms"` and `"spans"`
-    /// sections are additive.
+    /// JSON object for benchmark trajectories: the engine block's scalars,
+    /// then each present sub-block as an object in the order
+    /// `register_into` loads them, then the `"histograms"` and `"spans"`
+    /// sections.
     pub fn to_json(&self) -> String {
         let reg = Registry::new();
         self.register_into(&reg);
         let mut w = JsonWriter::new();
         w.begin_object();
         reg.write_block_fields(&mut w, "engine");
-        if self.ingest.is_some() {
-            w.key("ingest");
-            reg.write_block_json(&mut w, "ingest");
-        }
-        if self.eval.is_some() {
-            w.key("eval");
-            reg.write_block_json(&mut w, "eval");
-        }
-        if self.pool.is_some() {
-            w.key("pool");
-            reg.write_block_json(&mut w, "pool");
-        }
-        if self.quality.is_some() {
-            w.key("quality");
-            reg.write_block_json(&mut w, "quality");
-        }
-        if self.gateway.is_some() {
-            w.key("gateway");
-            reg.write_block_json(&mut w, "gateway");
-        }
-        if self.shard.is_some() {
-            w.key("shard");
-            reg.write_block_json(&mut w, "shard");
-        }
-        if self.store.is_some() {
-            w.key("store");
-            reg.write_block_json(&mut w, "store");
-        }
-        if self.durable.is_some() {
-            w.key("durable");
-            reg.write_block_json(&mut w, "durable");
-        }
-        if self.adaptive.is_some() {
-            w.key("adaptive");
-            reg.write_block_json(&mut w, "adaptive");
+        for block in reg.blocks().into_iter().filter(|&b| b != "engine") {
+            w.key(block);
+            reg.write_block_json(&mut w, block);
         }
         w.key("histograms");
         reg.write_histograms_json(&mut w);

@@ -231,37 +231,33 @@ pub struct GatewayStats {
     pub drain_secs: f64,
 }
 
+crate::telemetry::declare_metrics! {
+    GatewayStats as gateway {
+        add connections_accepted, "connections",
+            "Meter connections accepted and handed to a session worker.";
+        add connections_rejected, "connections",
+            "Connections refused at accept time (cap reached or draining).";
+        set connections_active, "connections", "Currently open meter sessions.";
+        add auth_failures, "handshakes", "Handshakes presenting a wrong auth token.";
+        add handshake_errors, "handshakes", "Malformed handshakes (bad magic or oversized token).";
+        add rate_limit_hits, "episodes", "Rate-limit throttle episodes (typed RateLimited errors).";
+        add quota_closed, "connections", "Connections closed for exceeding their byte quota.";
+        add idle_closed, "connections", "Connections closed by the idle timeout.";
+        add bytes_in, "bytes", "Bytes read from meter sockets (handshakes included).";
+        add frames_acked, "frames",
+            "Frames decoded, committed to the fleet output, and acknowledged.";
+        set_f64 drain_secs, "seconds",
+            "Wall time graceful shutdown spent draining in-flight sessions.";
+    }
+}
+
 impl GatewayStats {
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("gateway");
-        reg.add("sms_gateway_connections_accepted", self.connections_accepted);
-        reg.add("sms_gateway_connections_rejected", self.connections_rejected);
-        reg.set("sms_gateway_connections_active", self.connections_active);
-        reg.add("sms_gateway_auth_failures", self.auth_failures);
-        reg.add("sms_gateway_handshake_errors", self.handshake_errors);
-        reg.add("sms_gateway_rate_limit_hits", self.rate_limit_hits);
-        reg.add("sms_gateway_quota_closed", self.quota_closed);
-        reg.add("sms_gateway_idle_closed", self.idle_closed);
-        reg.add("sms_gateway_bytes_in", self.bytes_in);
-        reg.add("sms_gateway_frames_acked", self.frames_acked);
-        reg.set_f64("sms_gateway_drain_secs", self.drain_secs);
-    }
-
-    /// Writes this block as one JSON value into `w` (shared with
-    /// [`EngineStats::to_json`]). Key names and order come from the
-    /// telemetry [`crate::telemetry::CATALOG`].
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        let reg = Registry::new();
-        self.register_into(&reg);
-        reg.write_block_json(w, "gateway");
-    }
-
     /// JSON object for benchmark trajectories.
     pub fn to_json(&self) -> String {
+        let reg = Registry::new();
+        self.register_into(&reg);
         let mut w = JsonWriter::new();
-        self.write_json(&mut w);
+        reg.write_block_json(&mut w, "gateway");
         w.finish()
     }
 }

@@ -168,6 +168,28 @@ pub struct IngestStats {
     pub frame_bytes: crate::telemetry::Log2Histogram,
 }
 
+crate::telemetry::declare_metrics! {
+    IngestStats as ingest {
+        add frames_ok, "frames", "Frames decoded successfully.";
+        add frames_corrupt, "frames", "Frames rejected with a decode error.";
+        add resyncs, "scans", "Times the decoder scanned forward to a new frame boundary.";
+        add frames_oversized, "frames", "Frames whose header announced a payload above the cap.";
+        add bytes_in, "bytes", "Raw bytes fed into the gateway.";
+        add bytes_decoded, "bytes",
+            "Bytes consumed by successfully decoded frames (header + payload).";
+        add bytes_discarded, "bytes",
+            "Bytes discarded by corruption resyncs scanning for a frame boundary.";
+        add backpressure_stalls, "stalls",
+            "Times a downstream feed was rejected or had to back off.";
+        add meters_rejected, "chunks", "Chunks rejected because the meter would exceed max_meters.";
+        add backlog_rejections, "chunks",
+            "Chunks rejected because the byte backlog cap would be exceeded.";
+        set_f64 decode_secs, "seconds", "Wall time spent in wire decode (including resync scans).";
+        set_f64 feed_secs, "seconds", "Wall time spent feeding decoded data downstream.";
+        merge_histogram frame_bytes, "bytes", "Wire sizes of successfully decoded frames.";
+    }
+}
+
 impl IngestStats {
     /// Accumulates `other` into `self` (counters add, stage times add).
     pub fn merge(&mut self, other: &IngestStats) {
@@ -186,25 +208,6 @@ impl IngestStats {
         self.frame_bytes.merge(&other.frame_bytes);
     }
 
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &crate::telemetry::Registry) {
-        reg.register_block("ingest");
-        reg.add("sms_ingest_frames_ok", self.frames_ok);
-        reg.add("sms_ingest_frames_corrupt", self.frames_corrupt);
-        reg.add("sms_ingest_resyncs", self.resyncs);
-        reg.add("sms_ingest_frames_oversized", self.frames_oversized);
-        reg.add("sms_ingest_bytes_in", self.bytes_in);
-        reg.add("sms_ingest_bytes_decoded", self.bytes_decoded);
-        reg.add("sms_ingest_bytes_discarded", self.bytes_discarded);
-        reg.add("sms_ingest_backpressure_stalls", self.backpressure_stalls);
-        reg.add("sms_ingest_meters_rejected", self.meters_rejected);
-        reg.add("sms_ingest_backlog_rejections", self.backlog_rejections);
-        reg.set_f64("sms_ingest_decode_secs", self.decode_secs);
-        reg.set_f64("sms_ingest_feed_secs", self.feed_secs);
-        reg.merge_histogram("sms_ingest_frame_bytes", &self.frame_bytes);
-    }
-
     /// Fraction of seen frames that decoded, in `[0, 1]` (`1.0` for an
     /// empty run).
     pub fn frame_success_rate(&self) -> f64 {
@@ -217,18 +220,11 @@ impl IngestStats {
 
     /// JSON object for benchmark trajectories.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
-
-    /// Writes this block as one JSON value into `w` (shared with
-    /// [`crate::engine::EngineStats::to_json`]). The key names and order
-    /// come from the telemetry [`crate::telemetry::CATALOG`].
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         let reg = crate::telemetry::Registry::new();
         self.register_into(&reg);
-        reg.write_block_json(w, "ingest");
+        let mut w = JsonWriter::new();
+        reg.write_block_json(&mut w, "ingest");
+        w.finish()
     }
 }
 

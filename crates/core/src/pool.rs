@@ -40,7 +40,7 @@ use crossbeam::channel;
 
 use crate::error::{Error, Result};
 use crate::json::JsonWriter;
-use crate::telemetry::{Log2Histogram, Registry, ShardSet};
+use crate::telemetry::{Log2Histogram, Registry};
 
 /// Parallelism knobs for one pool run.
 #[derive(Debug, Clone)]
@@ -283,43 +283,36 @@ pub struct PoolStats {
     /// level deeper and do not count here).
     pub respawns: u64,
     /// Distribution of attempts needed per resolved job (1 = first try).
-    /// Recorded into per-worker [`ShardSet`] shards and merged in
-    /// worker-index order, so it is identical at any worker count.
+    /// The collector observes it from each job's outcome, so it is
+    /// identical at any worker count.
     /// Rendered through the `"histograms"` section of
     /// [`crate::engine::EngineStats::to_json`], not this block's object.
     pub job_attempts: Log2Histogram,
 }
 
+crate::telemetry::declare_metrics! {
+    PoolStats as pool {
+        set workers, "threads", "Worker threads actually spawned.";
+        add jobs, "jobs", "Jobs executed.";
+        set queue_capacity, "jobs", "Capacity of the bounded job queue.";
+        set_max max_queue_depth, "jobs", "High-water mark of jobs enqueued but not yet claimed.";
+        add panics, "attempts", "Job attempts that panicked (caught by the supervisor).";
+        add retries, "attempts", "Retry attempts executed after a panicking attempt.";
+        add gave_up, "jobs", "Jobs that exhausted every allowed attempt.";
+        add deadline_exceeded, "jobs", "Jobs skipped because the per-run deadline had elapsed.";
+        add respawns, "workers", "Worker thread bodies re-armed after a crash.";
+        merge_histogram job_attempts, "attempts",
+            "Attempts needed per resolved job (1 = first try).";
+    }
+}
+
 impl PoolStats {
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("pool");
-        reg.set("sms_pool_workers", self.workers as u64);
-        reg.add("sms_pool_jobs", self.jobs as u64);
-        reg.set("sms_pool_queue_capacity", self.queue_capacity as u64);
-        reg.set_max("sms_pool_max_queue_depth", self.max_queue_depth as u64);
-        reg.add("sms_pool_panics", self.panics);
-        reg.add("sms_pool_retries", self.retries);
-        reg.add("sms_pool_gave_up", self.gave_up);
-        reg.add("sms_pool_deadline_exceeded", self.deadline_exceeded);
-        reg.add("sms_pool_respawns", self.respawns);
-        reg.merge_histogram("sms_pool_job_attempts", &self.job_attempts);
-    }
-
-    /// Writes this block as one JSON value into `w` (shared with
-    /// [`crate::engine::EngineStats::to_json`]). The key names and order
-    /// come from the telemetry [`crate::telemetry::CATALOG`].
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        let reg = Registry::new();
-        self.register_into(&reg);
-        reg.write_block_json(w, "pool");
-    }
-
     /// JSON object for benchmark trajectories.
     pub fn to_json(&self) -> String {
+        let reg = Registry::new();
+        self.register_into(&reg);
         let mut w = JsonWriter::new();
-        self.write_json(&mut w);
+        reg.write_block_json(&mut w, "pool");
         w.finish()
     }
 }
@@ -423,15 +416,14 @@ where
     let gave_up = AtomicU64::new(0);
     let deadline_exceeded = AtomicU64::new(0);
     let respawns = AtomicU64::new(0);
-    let shards = ShardSet::new(workers);
 
     crossbeam::thread::scope(|s| {
         let (job_tx, job_rx) = channel::bounded::<usize>(cap);
         let (res_tx, res_rx) = channel::unbounded::<(usize, Outcome<R>)>();
-        for w in 0..workers {
+        for _ in 0..workers {
             let job_rx = job_rx.clone();
             let res_tx = res_tx.clone();
-            let (init, job, shards) = (&init, &job, &shards);
+            let (init, job) = (&init, &job);
             let (panics, retries, gave_up, deadline_exceeded, respawns) =
                 (&panics, &retries, &gave_up, &deadline_exceeded, &respawns);
             s.spawn(move |_| {
@@ -484,16 +476,6 @@ where
                                     }
                                 }
                             };
-                            // Attempts-per-job is a pure function of the
-                            // job index (given a deterministic fault
-                            // plan), so the merged shard histogram is
-                            // worker-count-independent; timed-out jobs ran
-                            // zero attempts and are skipped.
-                            if !matches!(outcome, Outcome::TimedOut) {
-                                shards.with(w, |sh| {
-                                    sh.observe("sms_pool_job_attempts", u64::from(attempt))
-                                });
-                            }
                             if res_tx.send((idx, outcome)).is_err() {
                                 return; // collector is gone
                             }
@@ -522,6 +504,19 @@ where
         }
         drop(job_tx);
         for (idx, outcome) in res_rx.iter() {
+            // Attempts-per-job is a pure function of the job index (given a
+            // deterministic fault plan), so the histogram is independent of
+            // worker count. Timed-out jobs are not observed, and neither
+            // are the lost claims backfilled below.
+            let attempts = match &outcome {
+                Outcome::Ok(_) => Some(1),
+                Outcome::Retried { retries, .. } => Some(retries + 1),
+                Outcome::Panicked { attempts, .. } => Some(*attempts),
+                Outcome::TimedOut => None,
+            };
+            if let Some(attempts) = attempts {
+                stats.job_attempts.observe(u64::from(attempts));
+            }
             results[idx] = Some(outcome);
         }
     })
@@ -545,7 +540,6 @@ where
         .collect();
 
     stats.max_queue_depth = high_water.load(Ordering::Relaxed);
-    stats.job_attempts = shards.merged().histogram("sms_pool_job_attempts");
     stats.panics = panics.load(Ordering::Relaxed);
     stats.retries = retries.load(Ordering::Relaxed);
     stats.gave_up = gave_up.load(Ordering::Relaxed);

@@ -295,6 +295,27 @@ pub struct QualityStats {
     pub house_defects: Log2Histogram,
 }
 
+crate::telemetry::declare_metrics! {
+    QualityStats as quality {
+        add houses, "houses", "Houses sanitized.";
+        add quarantined, "houses", "Houses quarantined (dirty data or exhausted retries).";
+        add samples_in, "samples", "Samples examined across the fleet.";
+        add samples_out, "samples", "Samples surviving sanitization across the fleet.";
+        add defects.non_finite, "defects", "NaN/infinite values seen.";
+        add defects.negative_power, "defects", "Negative power readings seen.";
+        add defects.duplicate_timestamps, "defects", "Duplicated timestamps seen.";
+        add defects.out_of_order, "defects", "Out-of-order timestamps seen.";
+        add defects.gaps, "defects", "Gap spans seen.";
+        add defects.reset_spikes, "defects", "Reset spikes seen.";
+        add dropped, "samples", "Samples discarded across the fleet.";
+        add clamped, "samples", "Values clamped across the fleet.";
+        add filled, "samples", "Samples repaired or synthesized by fill-forward.";
+        add marked_missing, "spans", "Spans marked missing across the fleet.";
+        set_f64 sanitize_secs, "seconds", "Wall time of the sanitization pre-pass.";
+        merge_histogram house_defects, "defects", "Per-house defect totals found by the sanitizer.";
+    }
+}
+
 impl QualityStats {
     /// Folds one house's report into the aggregate.
     pub fn merge_report(&mut self, report: &QualityReport) {
@@ -309,42 +330,12 @@ impl QualityStats {
         self.house_defects.observe(report.defects.total());
     }
 
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("quality");
-        reg.add("sms_quality_houses", self.houses);
-        reg.add("sms_quality_quarantined", self.quarantined);
-        reg.add("sms_quality_samples_in", self.samples_in);
-        reg.add("sms_quality_samples_out", self.samples_out);
-        reg.add("sms_quality_defects_non_finite", self.defects.non_finite);
-        reg.add("sms_quality_defects_negative_power", self.defects.negative_power);
-        reg.add("sms_quality_defects_duplicate_timestamps", self.defects.duplicate_timestamps);
-        reg.add("sms_quality_defects_out_of_order", self.defects.out_of_order);
-        reg.add("sms_quality_defects_gaps", self.defects.gaps);
-        reg.add("sms_quality_defects_reset_spikes", self.defects.reset_spikes);
-        reg.add("sms_quality_dropped", self.dropped);
-        reg.add("sms_quality_clamped", self.clamped);
-        reg.add("sms_quality_filled", self.filled);
-        reg.add("sms_quality_marked_missing", self.marked_missing);
-        reg.set_f64("sms_quality_sanitize_secs", self.sanitize_secs);
-        reg.merge_histogram("sms_quality_house_defects", &self.house_defects);
-    }
-
-    /// Writes this block as one JSON value into `w` (shared with
-    /// [`crate::engine::EngineStats::to_json`]). The key names, order,
-    /// and the nested `"defects"` object come from the telemetry
-    /// [`crate::telemetry::CATALOG`]'s dotted keys.
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        let reg = Registry::new();
-        self.register_into(&reg);
-        reg.write_block_json(w, "quality");
-    }
-
     /// JSON object for benchmark trajectories.
     pub fn to_json(&self) -> String {
+        let reg = Registry::new();
+        self.register_into(&reg);
         let mut w = JsonWriter::new();
-        self.write_json(&mut w);
+        reg.write_block_json(&mut w, "quality");
         w.finish()
     }
 }

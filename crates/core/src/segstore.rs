@@ -47,7 +47,6 @@ use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::lookup::LookupTable;
 use crate::symbol::{Symbol, SymbolWriter, MAX_RESOLUTION_BITS};
-use crate::telemetry::Registry;
 use crate::timeseries::Timestamp;
 
 /// Magic prefix of a persisted store image (v2: epoch-tagged segments).
@@ -109,19 +108,19 @@ pub struct StoreStats {
     pub query_secs: f64,
 }
 
-impl StoreStats {
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("store");
-        reg.add("sms_store_segments_written", self.segments_written);
-        reg.add("sms_store_symbols_written", self.symbols_written);
-        reg.add("sms_store_packed_bytes", self.packed_bytes);
-        reg.add("sms_store_recompressed_bytes", self.recompressed_bytes);
-        reg.add("sms_store_reads", self.reads);
-        reg.add("sms_store_truncated_reads", self.truncated_reads);
-        reg.add("sms_store_segments_pruned", self.segments_pruned);
-        reg.set_f64("sms_store_query_secs", self.query_secs);
+crate::telemetry::declare_metrics! {
+    StoreStats as store {
+        add segments_written, "segments", "Segments appended to the store.";
+        add symbols_written, "symbols", "Symbols appended across every segment.";
+        add packed_bytes, "bytes", "Bit-packed payload bytes in the store arena.";
+        add recompressed_bytes, "bytes",
+            "Total bytes after the second-stage RLE + dictionary pass.";
+        add reads, "queries", "Full-resolution time-range reads served.";
+        add truncated_reads, "queries",
+            "Resolution-truncating reads served (pure bit-slice, no re-decode).";
+        add segments_pruned, "segments",
+            "Segments answered from footer bounds without a payload scan.";
+        set_f64 query_secs, "seconds", "Wall time spent serving store queries.";
     }
 }
 
@@ -1068,6 +1067,7 @@ mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
     use crate::separators::SeparatorMethod;
+    use crate::telemetry::Registry;
     use crate::timeseries::TimeSeries;
 
     fn table(bits: u8) -> LookupTable {

@@ -49,7 +49,6 @@ use crate::ingest::{FleetIngest, IngestConfig, IngestStats};
 use crate::lookup::LookupTable;
 use crate::pipeline::{CodecBuilder, SymbolicCodec};
 use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
-use crate::telemetry::Registry;
 use crate::timeseries::TimeSeries;
 
 /// Virtual nodes each shard places on the consistent-hash ring. 32 keeps
@@ -257,18 +256,17 @@ pub struct ShardStats {
     pub merge_wait_secs: f64,
 }
 
-impl ShardStats {
-    /// Registers this block's [`crate::telemetry::CATALOG`] metrics into
-    /// `reg` and loads their current values.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register_block("shard");
-        reg.set("sms_shard_shards", self.shards as u64);
-        reg.add("sms_shard_houses_routed", self.houses_routed);
-        reg.add("sms_shard_cache_hits", self.cache_hits);
-        reg.add("sms_shard_cache_misses", self.cache_misses);
-        reg.add("sms_shard_cache_evictions", self.cache_evictions);
-        reg.set_max("sms_shard_max_shard_houses", self.max_shard_houses);
-        reg.set_f64("sms_shard_merge_wait_secs", self.merge_wait_secs);
+crate::telemetry::declare_metrics! {
+    ShardStats as shard {
+        set shards, "shards", "Shards on the consistent-hash ring.";
+        add houses_routed, "houses", "Houses routed through the ring across every batch.";
+        add cache_hits, "lookups", "Per-shard lookup-table cache hits (training skipped).";
+        add cache_misses, "lookups", "Per-shard lookup-table cache misses (house trained).";
+        add cache_evictions, "tables", "Tables evicted from the per-shard LRU caches.";
+        set_max max_shard_houses, "houses",
+            "Houses on the most loaded shard (ring-balance witness).";
+        set_f64 merge_wait_secs, "seconds",
+            "Wall time the deterministic merge stage spent placing results.";
     }
 }
 
@@ -815,6 +813,7 @@ impl ShardedIngest {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, FleetEngine};
+    use crate::telemetry::Registry;
     use crate::timeseries::TimeSeries;
 
     fn house_series(house: u64, n: usize) -> TimeSeries {

@@ -2,17 +2,16 @@
 //! [`Log2Histogram`]s, scoped [`Span`] timers, and two exporters (the
 //! engine-stats JSON blocks and a Prometheus text format).
 //!
-//! PRs 1–4 left the crate with five hand-rolled stats blocks
-//! ([`crate::engine::EngineStats`], [`crate::ingest::IngestStats`],
-//! [`crate::pool::PoolStats`], [`crate::quality::QualityStats`],
-//! [`crate::engine::EvalStats`]) that each invented their own counter
-//! names and JSON layout. This module is the single source of truth they
-//! now render through: every metric is declared once in [`CATALOG`] with
-//! its JSON key, Prometheus name, type, and unit, and the blocks'
-//! `to_json` output is produced by [`Registry::write_block_json`] from
-//! those declarations — so the JSON shape, the Prometheus exposition, and
-//! the `OBSERVABILITY.md` reference manual can never drift apart (CI
-//! diffs the rendered names against the manual).
+//! Each of the ten stats blocks (`EngineStats`, `IngestStats`, …) declares
+//! its metrics beside its struct with `declare_metrics!`, one row per
+//! metric. A row names the field and gives the update op, unit and help
+//! text; the JSON key and the Prometheus name follow from the field path.
+//! The macro generates the block's `METRICS` slice and its
+//! `register_into`, and [`CATALOG`] joins the blocks' slices in a fixed
+//! order. A block renders its JSON by loading itself into a fresh
+//! registry and writing the block with [`Registry::write_block_json`], so
+//! the JSON layout and the Prometheus exposition come from the same rows.
+//! `tests/metrics_docs.rs` checks `OBSERVABILITY.md` against [`CATALOG`].
 //!
 //! ## Determinism contract
 //!
@@ -20,10 +19,9 @@
 //! extends to telemetry:
 //!
 //! * Counters and histograms only ever record **deterministic quantities**
-//!   (sample counts, frame sizes, job attempts), never wall-clock. Worker
-//!   shards ([`ShardSet`]) are merged in worker-index order, and since
-//!   every merge is a commutative `u64` add over a deterministic multiset
-//!   of observations, the merged totals are identical at 1, 2, or 8
+//!   (sample counts, frame sizes, job attempts), never wall-clock. Every
+//!   merge is a commutative `u64` add over a deterministic multiset of
+//!   observations, so the merged totals are identical at 1, 2, or 8
 //!   workers.
 //! * Wall-clock lives only in **gauges** (`*_secs`) and **spans**, which
 //!   are structurally deterministic (same paths, same call counts) but
@@ -82,7 +80,7 @@ impl MetricKind {
 #[derive(Debug, Clone, Copy)]
 pub struct MetricSpec {
     /// Stats block the metric belongs to (`"engine"`, `"ingest"`,
-    /// `"eval"`, `"pool"`, `"quality"`).
+    /// `"pool"`, …; see [`CATALOG`]).
     pub block: &'static str,
     /// Key within the block's JSON object. A dotted key (for example
     /// `"defects.non_finite"`) renders as a nested object.
@@ -97,799 +95,151 @@ pub struct MetricSpec {
     pub help: &'static str,
 }
 
-macro_rules! spec {
-    ($block:literal, $key:literal, $name:literal, $kind:ident, $unit:literal, $help:literal) => {
-        MetricSpec {
-            block: $block,
-            key: $key,
-            name: $name,
-            kind: MetricKind::$kind,
-            unit: $unit,
-            help: $help,
+/// Declares the metrics of one stats struct and generates its `METRICS`
+/// slice and its `register_into`. Rows are listed in JSON key order:
+///
+/// ```text
+/// declare_metrics! {
+///     QualityStats as quality {
+///         add houses, "houses", "Houses sanitized.";
+///         add defects.gaps, "defects", "Gap spans seen.";
+///         set_f64 sanitize_secs, "seconds", "Wall time of the sanitization pre-pass.";
+///     }
+/// }
+/// ```
+///
+/// A row reads `op key[.sub] [= expr], "unit", "help";`.
+///
+/// * `op` is the [`Registry`] method that loads the value, and it fixes
+///   the [`MetricKind`]: `add` makes a counter, `set` and `set_max` a
+///   gauge, `set_f64` an `f64` gauge and `merge_histogram` a histogram.
+///   Integer values are widened with `as u64`, so `usize` fields work as
+///   they are.
+/// * The value is the field `self.key[.sub]`, or `expr(self)` for a
+///   derived metric (`= Self::samples_per_sec`).
+/// * The JSON key is `key[.sub]`, where a dotted key nests, and the
+///   Prometheus name is `sms_<block>_<key>[_<sub>]`.
+///
+/// An optional `then { … }` group after the rows lists what
+/// `register_into` loads next, in order: `register_into field;` for an
+/// `Option` sub-block and `record_span field;` for a `Vec` of
+/// [`SpanSnapshot`]s.
+macro_rules! declare_metrics {
+    (
+        $ty:ident as $block:ident {
+            $(
+                $op:ident $key:ident $(.$sub:ident)? $(= $derive:expr)?, $unit:literal, $help:literal;
+            )*
+        }
+        $( then { $( $then:ident $field:ident; )* } )?
+    ) => {
+        impl $ty {
+            #[doc = concat!(
+                "The `", stringify!($block), "` block's metrics in JSON key order: its part of ",
+                "[`CATALOG`](crate::telemetry::CATALOG)."
+            )]
+            pub(crate) const METRICS: &'static [$crate::telemetry::MetricSpec] = &[$(
+                $crate::telemetry::MetricSpec {
+                    block: stringify!($block),
+                    key: concat!(stringify!($key) $(, ".", stringify!($sub))?),
+                    name: $crate::telemetry::declare_metrics!(@name $block $key $(.$sub)?),
+                    kind: $crate::telemetry::declare_metrics!(@kind $op),
+                    unit: $unit,
+                    help: $help,
+                },
+            )*];
+
+            #[doc = concat!(
+                "Registers the `", stringify!($block), "` block's metrics (its part of ",
+                "[`CATALOG`](crate::telemetry::CATALOG)) into `reg` and loads their current values."
+            )]
+            $(
+                #[doc = concat!("Then loads", $(" `", stringify!($field), "`,",)* " in that order.")]
+            )?
+            pub fn register_into(&self, reg: &$crate::telemetry::Registry) {
+                reg.register_block(stringify!($block));
+                $(
+                    $crate::telemetry::declare_metrics!(
+                        @load reg,
+                        $op,
+                        $crate::telemetry::declare_metrics!(@name $block $key $(.$sub)?),
+                        $crate::telemetry::declare_metrics!(@value self, $key $(.$sub)? $(= $derive)?)
+                    );
+                )*
+                $($( $crate::telemetry::declare_metrics!(@then reg, $then, self.$field); )*)?
+            }
+        }
+    };
+    (@name $block:ident $key:ident $(.$sub:ident)?) => {
+        concat!("sms_", stringify!($block), "_", stringify!($key) $(, "_", stringify!($sub))?)
+    };
+    (@kind add) => { $crate::telemetry::MetricKind::Counter };
+    (@kind set) => { $crate::telemetry::MetricKind::Gauge };
+    (@kind set_max) => { $crate::telemetry::MetricKind::Gauge };
+    (@kind set_f64) => { $crate::telemetry::MetricKind::GaugeF64 };
+    (@kind merge_histogram) => { $crate::telemetry::MetricKind::Histogram };
+    (@value $this:expr, $key:ident $(.$sub:ident)?) => { $this.$key $(.$sub)? };
+    (@value $this:expr, $key:ident $(.$sub:ident)? = $derive:expr) => { ($derive)($this) };
+    (@load $reg:ident, merge_histogram, $name:expr, $value:expr) => {
+        $reg.merge_histogram($name, &$value)
+    };
+    (@load $reg:ident, set_f64, $name:expr, $value:expr) => { $reg.set_f64($name, $value) };
+    (@load $reg:ident, $op:ident, $name:expr, $value:expr) => { $reg.$op($name, $value as u64) };
+    (@then $reg:ident, register_into, $field:expr) => {
+        if let Some(block) = &$field {
+            block.register_into($reg);
+        }
+    };
+    (@then $reg:ident, record_span, $field:expr) => {
+        for s in &$field {
+            $reg.record_span(&s.path, s.calls, s.secs);
         }
     };
 }
+pub(crate) use declare_metrics;
 
-/// Every metric the crate can emit, in the exact order the legacy
-/// `to_json` layouts write their keys. [`Registry::write_block_json`]
-/// iterates this order, which is what keeps the five migrated stats
-/// blocks byte-identical to their pre-telemetry JSON output.
-pub const CATALOG: &[MetricSpec] = &[
-    // --- engine -----------------------------------------------------------
-    spec!(
-        "engine",
-        "workers",
-        "sms_engine_workers",
-        Gauge,
-        "threads",
-        "Worker threads used by the fleet engine."
-    ),
-    spec!(
-        "engine",
-        "houses",
-        "sms_engine_houses",
-        Gauge,
-        "houses",
-        "Households encoded in the run."
-    ),
-    spec!(
-        "engine",
-        "samples_in",
-        "sms_engine_samples_in",
-        Counter,
-        "samples",
-        "Raw samples consumed by the engine."
-    ),
-    spec!(
-        "engine",
-        "symbols_out",
-        "sms_engine_symbols_out",
-        Counter,
-        "symbols",
-        "Symbols produced by the engine."
-    ),
-    spec!(
-        "engine",
-        "train_secs",
-        "sms_engine_train_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time of the up-front training stage."
-    ),
-    spec!(
-        "engine",
-        "encode_secs",
-        "sms_engine_encode_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time of the parallel encode stage."
-    ),
-    spec!(
-        "engine",
-        "samples_per_sec",
-        "sms_engine_samples_per_sec",
-        GaugeF64,
-        "samples/second",
-        "Raw samples consumed per wall-clock second."
-    ),
-    spec!(
-        "engine",
-        "symbols_per_sec",
-        "sms_engine_symbols_per_sec",
-        GaugeF64,
-        "symbols/second",
-        "Symbols produced per wall-clock second."
-    ),
-    spec!(
-        "engine",
-        "house_samples",
-        "sms_engine_house_samples",
-        Histogram,
-        "samples",
-        "Per-house input sample counts."
-    ),
-    spec!(
-        "engine",
-        "house_symbols",
-        "sms_engine_house_symbols",
-        Histogram,
-        "symbols",
-        "Per-house output symbol counts."
-    ),
-    spec!(
-        "engine",
-        "encode_batch_values",
-        "sms_engine_encode_batch_values",
-        Histogram,
-        "values",
-        "Per-house value counts pushed through the columnar encode fast path."
-    ),
-    // --- ingest -----------------------------------------------------------
-    spec!(
-        "ingest",
-        "frames_ok",
-        "sms_ingest_frames_ok",
-        Counter,
-        "frames",
-        "Frames decoded successfully."
-    ),
-    spec!(
-        "ingest",
-        "frames_corrupt",
-        "sms_ingest_frames_corrupt",
-        Counter,
-        "frames",
-        "Frames rejected with a decode error."
-    ),
-    spec!(
-        "ingest",
-        "resyncs",
-        "sms_ingest_resyncs",
-        Counter,
-        "scans",
-        "Times the decoder scanned forward to a new frame boundary."
-    ),
-    spec!(
-        "ingest",
-        "frames_oversized",
-        "sms_ingest_frames_oversized",
-        Counter,
-        "frames",
-        "Frames whose header announced a payload above the cap."
-    ),
-    spec!(
-        "ingest",
-        "bytes_in",
-        "sms_ingest_bytes_in",
-        Counter,
-        "bytes",
-        "Raw bytes fed into the gateway."
-    ),
-    spec!(
-        "ingest",
-        "bytes_decoded",
-        "sms_ingest_bytes_decoded",
-        Counter,
-        "bytes",
-        "Bytes consumed by successfully decoded frames (header + payload)."
-    ),
-    spec!(
-        "ingest",
-        "bytes_discarded",
-        "sms_ingest_bytes_discarded",
-        Counter,
-        "bytes",
-        "Bytes discarded by corruption resyncs scanning for a frame boundary."
-    ),
-    spec!(
-        "ingest",
-        "backpressure_stalls",
-        "sms_ingest_backpressure_stalls",
-        Counter,
-        "stalls",
-        "Times a downstream feed was rejected or had to back off."
-    ),
-    spec!(
-        "ingest",
-        "meters_rejected",
-        "sms_ingest_meters_rejected",
-        Counter,
-        "chunks",
-        "Chunks rejected because the meter would exceed max_meters."
-    ),
-    spec!(
-        "ingest",
-        "backlog_rejections",
-        "sms_ingest_backlog_rejections",
-        Counter,
-        "chunks",
-        "Chunks rejected because the byte backlog cap would be exceeded."
-    ),
-    spec!(
-        "ingest",
-        "decode_secs",
-        "sms_ingest_decode_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time spent in wire decode (including resync scans)."
-    ),
-    spec!(
-        "ingest",
-        "feed_secs",
-        "sms_ingest_feed_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time spent feeding decoded data downstream."
-    ),
-    spec!(
-        "ingest",
-        "frame_bytes",
-        "sms_ingest_frame_bytes",
-        Histogram,
-        "bytes",
-        "Wire sizes of successfully decoded frames."
-    ),
-    // --- eval -------------------------------------------------------------
-    spec!("eval", "cells", "sms_eval_cells", Counter, "cells", "Experiment cells completed."),
-    spec!("eval", "folds", "sms_eval_folds", Counter, "folds", "Cross-validation folds executed."),
-    spec!(
-        "eval",
-        "train_secs",
-        "sms_eval_train_secs",
-        GaugeF64,
-        "seconds",
-        "Total per-fold training wall time."
-    ),
-    spec!(
-        "eval",
-        "test_secs",
-        "sms_eval_test_secs",
-        GaugeF64,
-        "seconds",
-        "Total per-fold prediction wall time."
-    ),
-    spec!(
-        "eval",
-        "workers",
-        "sms_eval_workers",
-        Gauge,
-        "threads",
-        "Worker threads used by the evaluation pool."
-    ),
-    spec!(
-        "eval",
-        "max_queue_depth",
-        "sms_eval_max_queue_depth",
-        Gauge,
-        "jobs",
-        "High-water mark of the evaluation pool's job queue."
-    ),
-    spec!(
-        "eval",
-        "fold_test_rows",
-        "sms_eval_fold_test_rows",
-        Histogram,
-        "rows",
-        "Test-set sizes of the executed cross-validation folds."
-    ),
-    // --- pool -------------------------------------------------------------
-    spec!(
-        "pool",
-        "workers",
-        "sms_pool_workers",
-        Gauge,
-        "threads",
-        "Worker threads actually spawned."
-    ),
-    spec!("pool", "jobs", "sms_pool_jobs", Counter, "jobs", "Jobs executed."),
-    spec!(
-        "pool",
-        "queue_capacity",
-        "sms_pool_queue_capacity",
-        Gauge,
-        "jobs",
-        "Capacity of the bounded job queue."
-    ),
-    spec!(
-        "pool",
-        "max_queue_depth",
-        "sms_pool_max_queue_depth",
-        Gauge,
-        "jobs",
-        "High-water mark of jobs enqueued but not yet claimed."
-    ),
-    spec!(
-        "pool",
-        "panics",
-        "sms_pool_panics",
-        Counter,
-        "attempts",
-        "Job attempts that panicked (caught by the supervisor)."
-    ),
-    spec!(
-        "pool",
-        "retries",
-        "sms_pool_retries",
-        Counter,
-        "attempts",
-        "Retry attempts executed after a panicking attempt."
-    ),
-    spec!(
-        "pool",
-        "gave_up",
-        "sms_pool_gave_up",
-        Counter,
-        "jobs",
-        "Jobs that exhausted every allowed attempt."
-    ),
-    spec!(
-        "pool",
-        "deadline_exceeded",
-        "sms_pool_deadline_exceeded",
-        Counter,
-        "jobs",
-        "Jobs skipped because the per-run deadline had elapsed."
-    ),
-    spec!(
-        "pool",
-        "respawns",
-        "sms_pool_respawns",
-        Counter,
-        "workers",
-        "Worker thread bodies re-armed after a crash."
-    ),
-    spec!(
-        "pool",
-        "job_attempts",
-        "sms_pool_job_attempts",
-        Histogram,
-        "attempts",
-        "Attempts needed per resolved job (1 = first try)."
-    ),
-    // --- quality ----------------------------------------------------------
-    spec!("quality", "houses", "sms_quality_houses", Counter, "houses", "Houses sanitized."),
-    spec!(
-        "quality",
-        "quarantined",
-        "sms_quality_quarantined",
-        Counter,
-        "houses",
-        "Houses quarantined (dirty data or exhausted retries)."
-    ),
-    spec!(
-        "quality",
-        "samples_in",
-        "sms_quality_samples_in",
-        Counter,
-        "samples",
-        "Samples examined across the fleet."
-    ),
-    spec!(
-        "quality",
-        "samples_out",
-        "sms_quality_samples_out",
-        Counter,
-        "samples",
-        "Samples surviving sanitization across the fleet."
-    ),
-    spec!(
-        "quality",
-        "defects.non_finite",
-        "sms_quality_defects_non_finite",
-        Counter,
-        "defects",
-        "NaN/infinite values seen."
-    ),
-    spec!(
-        "quality",
-        "defects.negative_power",
-        "sms_quality_defects_negative_power",
-        Counter,
-        "defects",
-        "Negative power readings seen."
-    ),
-    spec!(
-        "quality",
-        "defects.duplicate_timestamps",
-        "sms_quality_defects_duplicate_timestamps",
-        Counter,
-        "defects",
-        "Duplicated timestamps seen."
-    ),
-    spec!(
-        "quality",
-        "defects.out_of_order",
-        "sms_quality_defects_out_of_order",
-        Counter,
-        "defects",
-        "Out-of-order timestamps seen."
-    ),
-    spec!(
-        "quality",
-        "defects.gaps",
-        "sms_quality_defects_gaps",
-        Counter,
-        "defects",
-        "Gap spans seen."
-    ),
-    spec!(
-        "quality",
-        "defects.reset_spikes",
-        "sms_quality_defects_reset_spikes",
-        Counter,
-        "defects",
-        "Reset spikes seen."
-    ),
-    spec!(
-        "quality",
-        "dropped",
-        "sms_quality_dropped",
-        Counter,
-        "samples",
-        "Samples discarded across the fleet."
-    ),
-    spec!(
-        "quality",
-        "clamped",
-        "sms_quality_clamped",
-        Counter,
-        "samples",
-        "Values clamped across the fleet."
-    ),
-    spec!(
-        "quality",
-        "filled",
-        "sms_quality_filled",
-        Counter,
-        "samples",
-        "Samples repaired or synthesized by fill-forward."
-    ),
-    spec!(
-        "quality",
-        "marked_missing",
-        "sms_quality_marked_missing",
-        Counter,
-        "spans",
-        "Spans marked missing across the fleet."
-    ),
-    spec!(
-        "quality",
-        "sanitize_secs",
-        "sms_quality_sanitize_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time of the sanitization pre-pass."
-    ),
-    spec!(
-        "quality",
-        "house_defects",
-        "sms_quality_house_defects",
-        Histogram,
-        "defects",
-        "Per-house defect totals found by the sanitizer."
-    ),
-    // --- gateway ----------------------------------------------------------
-    spec!(
-        "gateway",
-        "connections_accepted",
-        "sms_gateway_connections_accepted",
-        Counter,
-        "connections",
-        "Meter connections accepted and handed to a session worker."
-    ),
-    spec!(
-        "gateway",
-        "connections_rejected",
-        "sms_gateway_connections_rejected",
-        Counter,
-        "connections",
-        "Connections refused at accept time (cap reached or draining)."
-    ),
-    spec!(
-        "gateway",
-        "connections_active",
-        "sms_gateway_connections_active",
-        Gauge,
-        "connections",
-        "Currently open meter sessions."
-    ),
-    spec!(
-        "gateway",
-        "auth_failures",
-        "sms_gateway_auth_failures",
-        Counter,
-        "handshakes",
-        "Handshakes presenting a wrong auth token."
-    ),
-    spec!(
-        "gateway",
-        "handshake_errors",
-        "sms_gateway_handshake_errors",
-        Counter,
-        "handshakes",
-        "Malformed handshakes (bad magic or oversized token)."
-    ),
-    spec!(
-        "gateway",
-        "rate_limit_hits",
-        "sms_gateway_rate_limit_hits",
-        Counter,
-        "episodes",
-        "Rate-limit throttle episodes (typed RateLimited errors)."
-    ),
-    spec!(
-        "gateway",
-        "quota_closed",
-        "sms_gateway_quota_closed",
-        Counter,
-        "connections",
-        "Connections closed for exceeding their byte quota."
-    ),
-    spec!(
-        "gateway",
-        "idle_closed",
-        "sms_gateway_idle_closed",
-        Counter,
-        "connections",
-        "Connections closed by the idle timeout."
-    ),
-    spec!(
-        "gateway",
-        "bytes_in",
-        "sms_gateway_bytes_in",
-        Counter,
-        "bytes",
-        "Bytes read from meter sockets (handshakes included)."
-    ),
-    spec!(
-        "gateway",
-        "frames_acked",
-        "sms_gateway_frames_acked",
-        Counter,
-        "frames",
-        "Frames decoded, committed to the fleet output, and acknowledged."
-    ),
-    spec!(
-        "gateway",
-        "drain_secs",
-        "sms_gateway_drain_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time graceful shutdown spent draining in-flight sessions."
-    ),
-    // --- shard: consistent-hash fleet partitioning (sms_core::shard) ----
-    spec!(
-        "shard",
-        "shards",
-        "sms_shard_shards",
-        Gauge,
-        "shards",
-        "Shards on the consistent-hash ring."
-    ),
-    spec!(
-        "shard",
-        "houses_routed",
-        "sms_shard_houses_routed",
-        Counter,
-        "houses",
-        "Houses routed through the ring across every batch."
-    ),
-    spec!(
-        "shard",
-        "cache_hits",
-        "sms_shard_cache_hits",
-        Counter,
-        "lookups",
-        "Per-shard lookup-table cache hits (training skipped)."
-    ),
-    spec!(
-        "shard",
-        "cache_misses",
-        "sms_shard_cache_misses",
-        Counter,
-        "lookups",
-        "Per-shard lookup-table cache misses (house trained)."
-    ),
-    spec!(
-        "shard",
-        "cache_evictions",
-        "sms_shard_cache_evictions",
-        Counter,
-        "tables",
-        "Tables evicted from the per-shard LRU caches."
-    ),
-    spec!(
-        "shard",
-        "max_shard_houses",
-        "sms_shard_max_shard_houses",
-        Gauge,
-        "houses",
-        "Houses on the most loaded shard (ring-balance witness)."
-    ),
-    spec!(
-        "shard",
-        "merge_wait_secs",
-        "sms_shard_merge_wait_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time the deterministic merge stage spent placing results."
-    ),
-    // --- store: bit-packed segment store (sms_core::segstore) -----------
-    spec!(
-        "store",
-        "segments_written",
-        "sms_store_segments_written",
-        Counter,
-        "segments",
-        "Segments appended to the store."
-    ),
-    spec!(
-        "store",
-        "symbols_written",
-        "sms_store_symbols_written",
-        Counter,
-        "symbols",
-        "Symbols appended across every segment."
-    ),
-    spec!(
-        "store",
-        "packed_bytes",
-        "sms_store_packed_bytes",
-        Counter,
-        "bytes",
-        "Bit-packed payload bytes in the store arena."
-    ),
-    spec!(
-        "store",
-        "recompressed_bytes",
-        "sms_store_recompressed_bytes",
-        Counter,
-        "bytes",
-        "Total bytes after the second-stage RLE + dictionary pass."
-    ),
-    spec!(
-        "store",
-        "reads",
-        "sms_store_reads",
-        Counter,
-        "queries",
-        "Full-resolution time-range reads served."
-    ),
-    spec!(
-        "store",
-        "truncated_reads",
-        "sms_store_truncated_reads",
-        Counter,
-        "queries",
-        "Resolution-truncating reads served (pure bit-slice, no re-decode)."
-    ),
-    spec!(
-        "store",
-        "segments_pruned",
-        "sms_store_segments_pruned",
-        Counter,
-        "segments",
-        "Segments answered from footer bounds without a payload scan."
-    ),
-    spec!(
-        "store",
-        "query_secs",
-        "sms_store_query_secs",
-        GaugeF64,
-        "seconds",
-        "Wall time spent serving store queries."
-    ),
-    // --- durable: WAL + checkpoint durability layer (sms_core::durable) --
-    spec!(
-        "durable",
-        "wal_appends",
-        "sms_durable_wal_appends",
-        Counter,
-        "records",
-        "Records appended to the write-ahead log."
-    ),
-    spec!(
-        "durable",
-        "wal_bytes",
-        "sms_durable_wal_bytes",
-        Counter,
-        "bytes",
-        "Bytes appended to the write-ahead log, record headers included."
-    ),
-    spec!(
-        "durable",
-        "fsyncs",
-        "sms_durable_fsyncs",
-        Counter,
-        "syncs",
-        "Backend sync calls (WAL group commits, checkpoint/manifest/directory syncs)."
-    ),
-    spec!(
-        "durable",
-        "torn_records_dropped",
-        "sms_durable_torn_records_dropped",
-        Counter,
-        "records",
-        "Torn or corrupt WAL tail records discarded (and truncated away) during recovery."
-    ),
-    spec!(
-        "durable",
-        "checkpoints",
-        "sms_durable_checkpoints",
-        Counter,
-        "checkpoints",
-        "Atomic checkpoints committed (image synced, renamed, manifest record durable)."
-    ),
-    spec!(
-        "durable",
-        "recoveries",
-        "sms_durable_recoveries",
-        Counter,
-        "recoveries",
-        "Recoveries performed over existing on-disk state at open."
-    ),
-    spec!(
-        "durable",
-        "replayed_records",
-        "sms_durable_replayed_records",
-        Counter,
-        "records",
-        "WAL records replayed on top of a checkpoint during recovery."
-    ),
-    spec!(
-        "durable",
-        "shard_failovers",
-        "sms_durable_shard_failovers",
-        Counter,
-        "failovers",
-        "Shards marked dead after backend I/O errors, houses re-routed to successor vnodes."
-    ),
-    // --- adaptive ---------------------------------------------------------
-    spec!(
-        "adaptive",
-        "rebuilds",
-        "sms_adaptive_rebuilds",
-        Counter,
-        "rebuilds",
-        "Lookup-table rebuilds triggered by the drift detector."
-    ),
-    spec!(
-        "adaptive",
-        "suppressed_hysteresis",
-        "sms_adaptive_suppressed_hysteresis",
-        Counter,
-        "decisions",
-        "Over-threshold drift readings suppressed because the detector was not re-armed."
-    ),
-    spec!(
-        "adaptive",
-        "suppressed_min_interval",
-        "sms_adaptive_suppressed_min_interval",
-        Counter,
-        "decisions",
-        "Over-threshold drift readings suppressed by the minimum rebuild interval."
-    ),
-    spec!(
-        "adaptive",
-        "epochs_shipped",
-        "sms_adaptive_epochs_shipped",
-        Counter,
-        "epochs",
-        "Epoch-versioned lookup tables shipped after drift cutover."
-    ),
-    spec!(
-        "adaptive",
-        "sketch_bytes",
-        "sms_adaptive_sketch_bytes",
-        Gauge,
-        "bytes",
-        "Bytes held by streaming quantile sketches across all drift detectors."
-    ),
-    spec!(
-        "adaptive",
-        "samples",
-        "sms_adaptive_samples",
-        Counter,
-        "samples",
-        "Raw samples folded into drift detectors."
-    ),
-    spec!(
-        "adaptive",
-        "symbols",
-        "sms_adaptive_symbols",
-        Counter,
-        "symbols",
-        "Symbols emitted by adaptive encoders."
-    ),
-    spec!(
-        "adaptive",
-        "cutover_lag",
-        "sms_adaptive_cutover_lag",
-        Histogram,
-        "samples",
-        "Samples between a suppressed over-threshold drift reading and the eventual rebuild."
-    ),
+/// The stats blocks' metric slices in catalog order: the order
+/// [`Registry::with_catalog`] registers them, and so the order
+/// [`render_metrics_json`] writes their blocks.
+const BLOCKS: [&[MetricSpec]; 10] = [
+    crate::engine::EngineStats::METRICS,
+    crate::ingest::IngestStats::METRICS,
+    crate::engine::EvalStats::METRICS,
+    crate::pool::PoolStats::METRICS,
+    crate::quality::QualityStats::METRICS,
+    crate::gateway::GatewayStats::METRICS,
+    crate::shard::ShardStats::METRICS,
+    crate::segstore::StoreStats::METRICS,
+    crate::durable::DurableStats::METRICS,
+    crate::adaptive::AdaptiveStats::METRICS,
 ];
+
+const CATALOG_LEN: usize = {
+    let (mut len, mut b) = (0, 0);
+    while b < BLOCKS.len() {
+        len += BLOCKS[b].len();
+        b += 1;
+    }
+    len
+};
+
+/// Every metric the crate can emit: the blocks' `METRICS` slices joined
+/// in catalog order (engine, ingest, eval, pool, quality, gateway, shard,
+/// store, durable, adaptive), each block in its JSON key order.
+pub const CATALOG: &[MetricSpec] = &{
+    let mut all = [BLOCKS[0][0]; CATALOG_LEN];
+    let (mut i, mut b) = (0, 0);
+    while b < BLOCKS.len() {
+        let mut m = 0;
+        while m < BLOCKS[b].len() {
+            all[i] = BLOCKS[b][m];
+            i += 1;
+            m += 1;
+        }
+        b += 1;
+    }
+    all
+};
 
 /// Looks up a metric's [`CATALOG`] declaration by Prometheus name.
 pub fn catalog_spec(name: &str) -> Option<&'static MetricSpec> {
@@ -905,8 +255,7 @@ pub const HISTOGRAM_BUCKETS: usize = 32;
 /// Bucket `0` counts zero-valued observations; bucket `i` (for `i ≥ 1`)
 /// counts values in `[2^(i-1), 2^i - 1]`; the last bucket absorbs
 /// everything from `2^30` up. The layout is fixed so two histograms always
-/// merge bucket-by-bucket — the property that makes per-worker shards
-/// order-insensitive.
+/// merge bucket-by-bucket, in any order, to the same result.
 ///
 /// ```
 /// use sms_core::telemetry::Log2Histogram;
@@ -1127,8 +476,7 @@ impl Registry {
     }
 
     /// A registry with every [`CATALOG`] metric pre-registered at zero, so
-    /// exports always expose the complete metric surface (this is what the
-    /// `check_metrics_docs.sh` CI step diffs against `OBSERVABILITY.md`).
+    /// exports always expose the complete metric surface.
     pub fn with_catalog() -> Self {
         let reg = Registry::new();
         {
@@ -1213,18 +561,6 @@ impl Registry {
         }
     }
 
-    /// Folds one worker [`Shard`] into the registry. Call in worker-index
-    /// order; every fold is a commutative add, so the merged totals are
-    /// independent of worker count and scheduling.
-    pub fn absorb_shard(&self, shard: &Shard) {
-        for (name, delta) in &shard.counters {
-            self.add(name, *delta);
-        }
-        for (name, hist) in &shard.hists {
-            self.merge_histogram(name, hist);
-        }
-    }
-
     /// Reads one metric's current value, if registered.
     pub fn get(&self, name: &str) -> Option<MetricValue> {
         let inner = self.lock();
@@ -1234,6 +570,17 @@ impl Registry {
     /// Every registered metric `(spec, value)`, in registration order.
     pub fn snapshot(&self) -> Vec<(MetricSpec, MetricValue)> {
         self.lock().metrics.iter().map(|m| (m.spec, m.value.clone())).collect()
+    }
+
+    /// Every block with a registered metric, in registration order.
+    pub(crate) fn blocks(&self) -> Vec<&'static str> {
+        let mut blocks = Vec::new();
+        for m in &self.lock().metrics {
+            if !blocks.contains(&m.spec.block) {
+                blocks.push(m.spec.block);
+            }
+        }
+        blocks
     }
 
     // --- spans ------------------------------------------------------------
@@ -1479,117 +826,6 @@ impl Drop for Span<'_> {
     }
 }
 
-/// One worker's private metric shard: plain owned counters and histograms
-/// with no locking against other workers. Collect shards with
-/// [`ShardSet`] and fold them into a [`Registry`] (or a stats block) in
-/// worker-index order.
-#[derive(Debug, Clone, Default)]
-pub struct Shard {
-    counters: Vec<(&'static str, u64)>,
-    hists: Vec<(&'static str, Log2Histogram)>,
-}
-
-impl Shard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        Shard::default()
-    }
-
-    /// Adds `delta` to this shard's counter `name`.
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += delta,
-            None => self.counters.push((name, delta)),
-        }
-    }
-
-    /// Records one observation into this shard's histogram `name`.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        match self.hists.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, h)) => h.observe(value),
-            None => {
-                let mut h = Log2Histogram::new();
-                h.observe(value);
-                self.hists.push((name, h));
-            }
-        }
-    }
-
-    /// This shard's counter total for `name` (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
-    }
-
-    /// This shard's histogram for `name` (empty if never touched).
-    pub fn histogram(&self, name: &str) -> Log2Histogram {
-        self.hists.iter().find(|(n, _)| *n == name).map_or_else(Log2Histogram::new, |(_, h)| *h)
-    }
-
-    /// Folds `other` into `self` (commutative adds only).
-    pub fn merge(&mut self, other: &Shard) {
-        for (name, delta) in &other.counters {
-            self.add(name, *delta);
-        }
-        for (name, hist) in &other.hists {
-            match self.hists.iter_mut().find(|(n, _)| n == name) {
-                Some((_, h)) => h.merge(hist),
-                None => self.hists.push((name, *hist)),
-            }
-        }
-    }
-}
-
-/// A fixed set of per-worker [`Shard`]s. Worker `w` records through
-/// `with(w, …)` — each shard has its own lock, so workers never contend
-/// with each other — and the coordinator folds the shards together **in
-/// worker-index order** with [`merged`](Self::merged).
-///
-/// ```
-/// use sms_core::telemetry::ShardSet;
-///
-/// let shards = ShardSet::new(2);
-/// shards.with(0, |s| s.observe("sms_pool_job_attempts", 1));
-/// shards.with(1, |s| s.observe("sms_pool_job_attempts", 3));
-/// let merged = shards.merged();
-/// assert_eq!(merged.histogram("sms_pool_job_attempts").count(), 2);
-/// ```
-#[derive(Debug)]
-pub struct ShardSet {
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl ShardSet {
-    /// `workers` empty shards.
-    pub fn new(workers: usize) -> Self {
-        ShardSet { shards: (0..workers).map(|_| Mutex::new(Shard::new())).collect() }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the set has no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Runs `f` with exclusive access to worker `w`'s shard.
-    pub fn with<R>(&self, w: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
-        let mut shard = self.shards[w].lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut shard)
-    }
-
-    /// Folds every shard, **in index order**, into one merged [`Shard`].
-    pub fn merged(&self) -> Shard {
-        let mut out = Shard::new();
-        for s in &self.shards {
-            out.merge(&s.lock().unwrap_or_else(PoisonError::into_inner));
-        }
-        out
-    }
-}
-
 /// Renders the full `--metrics` JSON document: experiment name, every
 /// registered block's scalar metrics, all histograms, and the span tree.
 /// The output parses with [`crate::json::parse`] and always contains the
@@ -1613,13 +849,7 @@ pub fn render_metrics_json(reg: &Registry, experiment: &str) -> String {
     w.string(experiment);
     w.key("metrics");
     w.begin_object();
-    let mut blocks: Vec<&'static str> = Vec::new();
-    for (spec, _) in reg.snapshot() {
-        if !blocks.contains(&spec.block) {
-            blocks.push(spec.block);
-        }
-    }
-    for block in blocks {
+    for block in reg.blocks() {
         w.key(block);
         reg.write_block_json(&mut w, block);
     }
@@ -1764,24 +994,6 @@ mod tests {
         }
         let paths: Vec<String> = reg.span_snapshots().into_iter().map(|s| s.path).collect();
         assert_eq!(paths, ["root", "root/child", "root/next"]);
-    }
-
-    #[test]
-    fn shard_set_merges_in_index_order_to_the_same_totals() {
-        let shards = ShardSet::new(4);
-        for (w, v) in [(0usize, 5u64), (1, 9), (2, 5), (3, 1)] {
-            shards.with(w, |s| {
-                s.add("jobs", 1);
-                s.observe("sizes", v);
-            });
-        }
-        let merged = shards.merged();
-        assert_eq!(merged.counter("jobs"), 4);
-        let mut expected = Log2Histogram::new();
-        for v in [5u64, 9, 5, 1] {
-            expected.observe(v);
-        }
-        assert_eq!(merged.histogram("sizes"), expected);
     }
 
     #[test]

@@ -124,9 +124,6 @@ if [[ $quick -eq 0 ]]; then
 
     echo "==> benchmark: perfbench's own tests, smoke runs of every workload (release)"
     cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-
-    echo "==> telemetry: OBSERVABILITY.md vs live registry"
-    scripts/check_metrics_docs.sh
 else
     echo "==> sms-core unit tests: cargo test -q -p sms-core --lib"
     cargo test -q -p sms-core --lib
