@@ -132,11 +132,14 @@ pub struct Quarantined {
 /// Configuration of the parallel engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker thread count; `0` is treated as `1`.
+    /// Worker count, the calling thread included on the batch path
+    /// ([`FleetStream`] spawns this many threads); `0` is treated as `1`.
     pub workers: usize,
     /// Per-house or shared lookup tables.
     pub table_mode: TableMode,
-    /// Capacity of each bounded channel (work queue and streaming output).
+    /// Capacity of each of [`FleetStream`]'s bounded channels (every
+    /// worker's input and the shared event output). The batch path has no
+    /// queue: its pool workers claim houses from a counter.
     pub channel_capacity: usize,
     /// Abort the run or quarantine failing houses.
     pub quarantine: QuarantinePolicy,
@@ -181,7 +184,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the bounded-channel capacity (min 1).
+    /// Sets [`FleetStream`]'s bounded-channel capacity (min 1).
     pub fn channel_capacity(mut self, cap: usize) -> Self {
         self.channel_capacity = cap.max(1);
         self
@@ -327,7 +330,8 @@ pub struct EvalStats {
     pub test_secs: f64,
     /// Worker threads used by the evaluation pool.
     pub workers: usize,
-    /// High-water mark of the evaluation pool's job queue.
+    /// High-water mark of the evaluation pool's unclaimed jobs: its job
+    /// count, since every job is claimable from the start.
     pub max_queue_depth: usize,
     /// Distribution of test-set sizes over the executed folds (one
     /// observation per fold). Rendered in the `"histograms"` section of
@@ -342,7 +346,7 @@ crate::telemetry::declare_metrics! {
         set_f64 train_secs, "seconds", "Total per-fold training wall time.";
         set_f64 test_secs, "seconds", "Total per-fold prediction wall time.";
         set workers, "threads", "Worker threads used by the evaluation pool.";
-        set_max max_queue_depth, "jobs", "High-water mark of the evaluation pool's job queue.";
+        set_max max_queue_depth, "jobs", "High-water mark of the evaluation pool's unclaimed jobs.";
         merge_histogram fold_test_rows, "rows",
             "Test-set sizes of the executed cross-validation folds.";
     }
@@ -503,7 +507,7 @@ impl FleetEngine {
         let mut encoded: Vec<Option<SymbolicSeries>> = vec![None; fleet.len()];
         let mut pool_stats = PoolStats::default();
         if !active.is_empty() {
-            let pool = PoolConfig { workers, channel_capacity: self.config.channel_capacity };
+            let pool = PoolConfig::with_workers(workers);
             let policy = match self.config.quarantine {
                 QuarantinePolicy::Strict => SupervisorPolicy::default(),
                 QuarantinePolicy::Isolate => {

@@ -37,7 +37,9 @@
 //! [`crate::pool`] (`run_indexed_supervised_with`), so a panicking handler
 //! is caught, counted, and respawned by the same machinery that protects
 //! fleet encodes; each worker multiplexes its claimed sessions with
-//! non-blocking reads. An optional **HTTP/1.1 sidecar** thread serves
+//! non-blocking reads. The `smg-runtime` thread that starts the pool is
+//! session worker 0 itself, and the pool spawns the other `workers − 1`.
+//! An optional **HTTP/1.1 sidecar** thread serves
 //! `/metrics` (Prometheus text), `/healthz`, and `/readyz` with a
 //! hand-rolled parser. [`Gateway::shutdown`] stops the acceptor, flips
 //! `/readyz` to 503, drains in-flight sessions until EOF or the drain
@@ -999,7 +1001,7 @@ impl Gateway {
         // The session handlers run as jobs on the supervised pool: one job
         // per worker loop, so a panicking handler is caught, counted in
         // PoolStats, and the loop re-entered via retry — the same isolation
-        // the fleet encoder gets.
+        // the fleet encoder gets. This thread runs session worker 0.
         let runtime = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()

@@ -1,34 +1,36 @@
-//! Shared bounded-channel worker pool with supervision.
+//! Shared worker pool with supervision.
 //!
 //! Any indexed batch of independent jobs (fleet houses, cross-validation
 //! folds, experiment-matrix cells, gateway session workers) runs through
-//! the same machinery:
+//! the same loop:
 //!
 //! ```text
-//!              ┌──────────┐   job indices    ┌───────────┐
-//!  0..n_jobs ─▶│  feeder  │═════bounded═════▶│ worker 0  │──┐
-//!              └──────────┘       MPMC       ├───────────┤  │ (idx, R)
-//!                                       ════▶│ worker 1  │──┼═══════▶ collector
-//!                                       ════▶│    …      │──┘   places results[idx]
-//!                                            └───────────┘
+//! next: AtomicUsize ─┬─ claim ─▶ worker 0 (the calling thread) ─┐
+//!   (0..n_jobs)      ├─ claim ─▶ worker 1 (scoped thread)       ├─ join ─▶ caller places
+//!                    └─ claim ─▶ …                              ┘          results[idx]
+//!        each worker keeps its outcomes in its own Vec<(idx, Outcome)>
 //! ```
 //!
-//! [`run_indexed_supervised_with`] is the one implementation. Every job
+//! [`run_indexed_supervised_with`] is the one implementation. The calling
+//! thread runs the worker loop as worker 0 and `workers − 1` scoped threads
+//! run it beside it, so a one-worker run spawns no thread. Each worker
+//! claims the next job index from a shared counter and keeps its outcomes
+//! in its own vector; no job or result crosses a channel. Every job
 //! attempt executes under `catch_unwind`; a panicking job is retried per
 //! [`RetryPolicy`] (deterministic jittered backoff), bounded by an optional
 //! per-run deadline, and reported as a per-job [`Outcome`] inside a
-//! [`PoolReport`] instead of taking the run down. A worker whose thread body
+//! [`PoolReport`] instead of taking the run down. A worker whose loop
 //! itself crashes is re-armed with fresh scratch state (a logical respawn),
 //! so one panic never shrinks the pool. [`run_indexed_supervised`] drops the
 //! per-worker scratch, and [`run_indexed`] is the single-attempt form for
 //! callers that want a plain `Result`: the lowest-indexed panicking job
 //! fails the run with a typed [`Error::Engine`] carrying its panic payload.
 //!
-//! Determinism contract: the collector writes every result back at its job
-//! index, so the output is **independent of worker count and scheduling**
-//! whenever each job is a pure function of its index (and, under
-//! supervision, of its attempt number). Callers that fold the results do so
-//! over that index-ordered vector, which is what makes parallel
+//! Determinism contract: after the join the caller places every outcome at
+//! its job index, so the output is **independent of worker count and
+//! scheduling** whenever each job is a pure function of its index (and,
+//! under supervision, of its attempt number). Callers that fold the results
+//! do so over that index-ordered vector, which is what makes parallel
 //! cross-validation bit-identical to serial (see `DESIGN.md` §9) and fleet
 //! quarantine decisions bit-identical at any worker count (`DESIGN.md` §10).
 
@@ -36,34 +38,25 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
-
 use crate::error::{Error, Result};
 use crate::json::JsonWriter;
 use crate::telemetry::{Log2Histogram, Registry};
 
 /// Parallelism knobs for one pool run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
-    /// Worker thread count; `0` means one thread per available core.
+    /// Worker count, the calling thread included; `0` means one worker per
+    /// available core.
     pub workers: usize,
-    /// Capacity of the bounded job queue.
-    pub channel_capacity: usize,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig { workers: 0, channel_capacity: 64 }
-    }
 }
 
 impl PoolConfig {
-    /// Config with an explicit worker count and defaults otherwise.
+    /// Config with an explicit worker count.
     pub fn with_workers(workers: usize) -> Self {
-        PoolConfig { workers, ..Self::default() }
+        PoolConfig { workers }
     }
 
-    /// The effective thread count: `workers`, or the machine's parallelism
+    /// The effective worker count: `workers`, or the machine's parallelism
     /// when `workers` is `0`, never exceeding the job count.
     pub fn effective_workers(&self, n_jobs: usize) -> usize {
         let requested = if self.workers == 0 {
@@ -257,17 +250,15 @@ impl<R> PoolReport<R> {
 /// Counters describing one pool run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
-    /// Worker threads actually spawned.
+    /// Workers that ran jobs, the calling thread included.
     pub workers: usize,
     /// Jobs executed.
     pub jobs: usize,
-    /// Capacity of the bounded job queue.
+    /// Jobs claimable when the run starts: every job is, so this is the
+    /// run's job count (the largest run's, once merged across runs).
     pub queue_capacity: usize,
-    /// High-water mark of jobs enqueued but not yet claimed by a worker.
-    /// Sampled from the bounded channel's exact length (taken under the
-    /// channel lock) after each enqueue, so it can never exceed
-    /// `queue_capacity`; being a sample, it may undershoot the
-    /// instantaneous peak but never overshoots it.
+    /// High-water mark of jobs not yet claimed by a worker. Every job is
+    /// claimable from the start, so it equals `queue_capacity` exactly.
     pub max_queue_depth: usize,
     /// Job attempts that panicked (caught by the supervisor; includes
     /// attempts that were later retried successfully).
@@ -278,13 +269,13 @@ pub struct PoolStats {
     pub gave_up: u64,
     /// Jobs skipped because the per-run deadline had elapsed.
     pub deadline_exceeded: u64,
-    /// Times a worker's thread body crashed and was re-armed with fresh
-    /// scratch state (a logical respawn; per-job panics are caught one
-    /// level deeper and do not count here).
+    /// Times a worker's loop crashed and was re-armed with fresh scratch
+    /// state (a logical respawn; per-job panics are caught one level deeper
+    /// and do not count here).
     pub respawns: u64,
     /// Distribution of attempts needed per resolved job (1 = first try).
-    /// The collector observes it from each job's outcome, so it is
-    /// identical at any worker count.
+    /// The caller observes it from each job's outcome after the join, so it
+    /// is identical at any worker count.
     /// Rendered through the `"histograms"` section of
     /// [`crate::engine::EngineStats::to_json`], not this block's object.
     pub job_attempts: Log2Histogram,
@@ -292,15 +283,15 @@ pub struct PoolStats {
 
 crate::telemetry::declare_metrics! {
     PoolStats as pool {
-        set workers, "threads", "Worker threads actually spawned.";
+        set workers, "threads", "Workers that ran jobs, the calling thread included.";
         add jobs, "jobs", "Jobs executed.";
-        set queue_capacity, "jobs", "Capacity of the bounded job queue.";
-        set_max max_queue_depth, "jobs", "High-water mark of jobs enqueued but not yet claimed.";
+        set queue_capacity, "jobs", "Jobs claimable when the run starts (its job count).";
+        set_max max_queue_depth, "jobs", "High-water mark of jobs not yet claimed (the job count).";
         add panics, "attempts", "Job attempts that panicked (caught by the supervisor).";
         add retries, "attempts", "Retry attempts executed after a panicking attempt.";
         add gave_up, "jobs", "Jobs that exhausted every allowed attempt.";
         add deadline_exceeded, "jobs", "Jobs skipped because the per-run deadline had elapsed.";
-        add respawns, "workers", "Worker thread bodies re-armed after a crash.";
+        add respawns, "workers", "Worker loops re-armed after a crash.";
         merge_histogram job_attempts, "attempts",
             "Attempts needed per resolved job (1 = first try).";
     }
@@ -381,8 +372,10 @@ where
 /// are retried per [`SupervisorPolicy::retry`] (the scratch state is
 /// re-initialized after each caught panic, since the panicking attempt may
 /// have torn it), jobs that cannot start before the deadline resolve to
-/// [`Outcome::TimedOut`], and a worker whose thread body itself crashes is
-/// re-armed with fresh scratch instead of shrinking the pool.
+/// [`Outcome::TimedOut`], and a worker whose loop itself crashes is re-armed
+/// with fresh scratch instead of shrinking the pool. `init` runs once per
+/// worker, before its first claim, and again after each respawn. The
+/// calling thread is worker 0, so a one-worker run spawns no thread.
 ///
 /// The report's `results` are index-ordered and — when `job` is
 /// deterministic per `(index, attempt)` — independent of worker count and
@@ -400,127 +393,115 @@ where
     F: Fn(&mut S, usize, u32) -> R + Sync,
 {
     let workers = config.effective_workers(n_jobs);
-    let cap = config.channel_capacity.max(1);
-    let mut stats =
-        PoolStats { workers, jobs: n_jobs, queue_capacity: cap, ..PoolStats::default() };
+    // Every job is claimable from the start: the "queue" is the whole run.
+    let mut stats = PoolStats {
+        workers,
+        jobs: n_jobs,
+        queue_capacity: n_jobs,
+        max_queue_depth: n_jobs,
+        ..PoolStats::default()
+    };
     if n_jobs == 0 {
         return PoolReport { results: Vec::new(), errors: Vec::new(), stats };
     }
 
     let deadline_at = policy.deadline.map(|d| Instant::now() + d);
     let retry = policy.retry;
-    let mut results: Vec<Option<Outcome<R>>> = (0..n_jobs).map(|_| None).collect();
-    let high_water = AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
     let panics = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
     let gave_up = AtomicU64::new(0);
     let deadline_exceeded = AtomicU64::new(0);
     let respawns = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|s| {
-        let (job_tx, job_rx) = channel::bounded::<usize>(cap);
-        let (res_tx, res_rx) = channel::unbounded::<(usize, Outcome<R>)>();
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let (init, job) = (&init, &job);
-            let (panics, retries, gave_up, deadline_exceeded, respawns) =
-                (&panics, &retries, &gave_up, &deadline_exceeded, &respawns);
-            s.spawn(move |_| {
-                // Respawn-in-place loop: should the worker body below ever
-                // panic outside the per-attempt catch (an `init` panic, or a
-                // result whose channel-send drop panics), the worker is
-                // re-armed with fresh scratch and keeps draining the queue
-                // rather than shrinking the pool. The job it was holding is
-                // repaired by the collector (see the `None` backfill below).
-                loop {
-                    let body = catch_unwind(AssertUnwindSafe(|| {
-                        let mut state = init();
-                        for idx in job_rx.iter() {
-                            let mut attempt = 0u32;
-                            let outcome = loop {
-                                if let Some(t) = deadline_at {
-                                    if Instant::now() >= t {
-                                        deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                                        break Outcome::TimedOut;
-                                    }
-                                }
-                                attempt += 1;
-                                if attempt > 1 {
-                                    retries.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::sleep(retry.delay(idx, attempt - 1));
-                                }
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    job(&mut state, idx, attempt)
-                                })) {
-                                    Ok(value) => {
-                                        break if attempt == 1 {
-                                            Outcome::Ok(value)
-                                        } else {
-                                            Outcome::Retried { value, retries: attempt - 1 }
-                                        };
-                                    }
-                                    Err(payload) => {
-                                        panics.fetch_add(1, Ordering::Relaxed);
-                                        // The attempt may have torn the
-                                        // scratch buffers mid-write; rebuild
-                                        // them before any retry touches them.
-                                        state = init();
-                                        if attempt >= retry.max_attempts.max(1) {
-                                            gave_up.fetch_add(1, Ordering::Relaxed);
-                                            break Outcome::Panicked {
-                                                message: panic_message(&*payload),
-                                                attempts: attempt,
-                                            };
-                                        }
-                                    }
-                                }
-                            };
-                            if res_tx.send((idx, outcome)).is_err() {
-                                return; // collector is gone
-                            }
-                        }
-                    }));
-                    match body {
-                        Ok(()) => break,
-                        Err(_) => {
-                            respawns.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
+    // Runs every attempt job `idx` is allowed, rebuilding the scratch after
+    // each caught panic.
+    let supervise = |state: &mut S, idx: usize| -> Outcome<R> {
+        let mut attempt = 0u32;
+        loop {
+            if deadline_at.is_some_and(|t| Instant::now() >= t) {
+                deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                return Outcome::TimedOut;
+            }
+            attempt += 1;
+            if attempt > 1 {
+                retries.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(retry.delay(idx, attempt - 1));
+            }
+            match catch_unwind(AssertUnwindSafe(|| job(state, idx, attempt))) {
+                Ok(value) if attempt == 1 => return Outcome::Ok(value),
+                Ok(value) => return Outcome::Retried { value, retries: attempt - 1 },
+                Err(payload) => {
+                    panics.fetch_add(1, Ordering::Relaxed);
+                    // The attempt may have torn the scratch buffers
+                    // mid-write; rebuild them before any retry touches them.
+                    *state = init();
+                    if attempt >= retry.max_attempts.max(1) {
+                        gave_up.fetch_add(1, Ordering::Relaxed);
+                        return Outcome::Panicked {
+                            message: panic_message(&*payload),
+                            attempts: attempt,
+                        };
                     }
                 }
-            });
-        }
-        drop(job_rx);
-        drop(res_tx);
-        for idx in 0..n_jobs {
-            if job_tx.send(idx).is_err() {
-                break; // all workers gone (only possible via repeated crashes)
             }
-            // Sample the channel's exact depth after each enqueue. A
-            // sample can only undershoot the instantaneous peak, never
-            // report more jobs than the bounded channel can hold.
-            high_water.fetch_max(job_tx.len(), Ordering::Relaxed);
         }
-        drop(job_tx);
-        for (idx, outcome) in res_rx.iter() {
-            // Attempts-per-job is a pure function of the job index (given a
-            // deterministic fault plan), so the histogram is independent of
-            // worker count. Timed-out jobs are not observed, and neither
-            // are the lost claims backfilled below.
-            let attempts = match &outcome {
-                Outcome::Ok(_) => Some(1),
-                Outcome::Retried { retries, .. } => Some(retries + 1),
-                Outcome::Panicked { attempts, .. } => Some(*attempts),
-                Outcome::TimedOut => None,
-            };
-            if let Some(attempts) = attempts {
-                stats.job_attempts.observe(u64::from(attempts));
+    };
+
+    // The worker loop. Should it panic outside the per-attempt catch (an
+    // `init` panic, first call or rebuild), it is re-armed with fresh
+    // scratch and keeps claiming rather than shrinking the pool; the job it
+    // held never reaches `done` and is repaired below.
+    let worker = || {
+        let mut done: Vec<(usize, Outcome<R>)> = Vec::with_capacity(n_jobs.div_ceil(workers));
+        loop {
+            let body = catch_unwind(AssertUnwindSafe(|| {
+                let mut state = init();
+                loop {
+                    // Relaxed: the counter only hands out indices and
+                    // publishes no data. Each index is still claimed exactly
+                    // once (a read-modify-write sees the latest value), and
+                    // the join below is what makes `done` visible.
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n_jobs {
+                        return;
+                    }
+                    let outcome = supervise(&mut state, idx);
+                    done.push((idx, outcome));
+                }
+            }));
+            if body.is_ok() {
+                return done;
             }
-            results[idx] = Some(outcome);
+            respawns.fetch_add(1, Ordering::Relaxed);
         }
-    })
-    .expect("supervised workers catch their own panics");
+    };
+    let finished: Vec<Vec<(usize, Outcome<R>)>> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(worker)).collect();
+        let mut finished = vec![worker()];
+        for helper in helpers {
+            finished.push(helper.join().expect("supervised workers catch their own panics"));
+        }
+        finished
+    });
+
+    let mut results: Vec<Option<Outcome<R>>> = (0..n_jobs).map(|_| None).collect();
+    for (idx, outcome) in finished.into_iter().flatten() {
+        // Attempts-per-job is a pure function of the job index (given a
+        // deterministic fault plan), so the histogram is independent of
+        // worker count. Timed-out jobs are not observed, and neither are
+        // the lost claims repaired below.
+        let attempts = match &outcome {
+            Outcome::Ok(_) => Some(1),
+            Outcome::Retried { retries, .. } => Some(retries + 1),
+            Outcome::Panicked { attempts, .. } => Some(*attempts),
+            Outcome::TimedOut => None,
+        };
+        if let Some(attempts) = attempts {
+            stats.job_attempts.observe(u64::from(attempts));
+        }
+        results[idx] = Some(outcome);
+    }
 
     // A job claimed by a worker that crashed outside the per-attempt catch
     // never reported back; account it as a panic failure so the report stays
@@ -539,7 +520,6 @@ where
         })
         .collect();
 
-    stats.max_queue_depth = high_water.load(Ordering::Relaxed);
     stats.panics = panics.load(Ordering::Relaxed);
     stats.retries = retries.load(Ordering::Relaxed);
     stats.gave_up = gave_up.load(Ordering::Relaxed);
@@ -593,23 +573,98 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_gauge_never_exceeds_capacity_under_slow_workers() {
-        // Slow workers against a tiny queue force the feeder to block on a
-        // full channel — the exact regime where the old atomic
-        // increment-before-send gauge overshot capacity by up to workers+1.
-        let config = PoolConfig { workers: 2, channel_capacity: 4 };
-        let (got, stats) = run_indexed(64, &config, |i| {
-            std::thread::sleep(Duration::from_micros(200));
-            i
-        })
-        .unwrap();
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
-        assert!(
-            stats.max_queue_depth <= 4,
-            "sampled gauge exceeded capacity: {}",
-            stats.max_queue_depth
-        );
-        assert!(stats.max_queue_depth >= 1, "a 64-job run must observe at least one queued job");
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        for workers in [1, 4] {
+            let seen = Mutex::new(HashSet::new());
+            let (got, _) = run_indexed(64, &PoolConfig::with_workers(workers), |i| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                i
+            })
+            .unwrap();
+            assert_eq!(got, (0..64).collect::<Vec<_>>());
+            let seen = seen.into_inner().unwrap();
+            let others = seen.iter().filter(|&&id| id != caller).count();
+            if workers == 1 {
+                assert_eq!(seen, HashSet::from([caller]), "one worker spawns no thread");
+            } else {
+                assert!(others < workers, "workers={workers}: {others} threads besides the caller");
+            }
+        }
+    }
+
+    #[test]
+    fn queue_gauges_report_the_job_count() {
+        for workers in [1, 2, 8] {
+            let (_, stats) = run_indexed(97, &PoolConfig::with_workers(workers), |i| i).unwrap();
+            assert_eq!(stats.queue_capacity, 97, "workers={workers}");
+            assert_eq!(stats.max_queue_depth, 97, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn an_init_that_panics_once_is_re_armed() {
+        for workers in [1, 2, 8] {
+            let first = std::sync::atomic::AtomicBool::new(true);
+            let report = run_indexed_supervised_with(
+                40,
+                &PoolConfig::with_workers(workers),
+                &SupervisorPolicy::default(),
+                || {
+                    if first.swap(false, Ordering::Relaxed) {
+                        panic!("init fails on its first call");
+                    }
+                },
+                |(), idx, _attempt| idx,
+            );
+            assert_eq!(report.stats.respawns, 1, "workers={workers}");
+            assert!(report.errors.is_empty(), "workers={workers}: {:?}", report.errors);
+            let expected: Vec<Outcome<usize>> = (0..40).map(Outcome::Ok).collect();
+            assert_eq!(report.results, expected, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_job_whose_scratch_rebuild_panics_loses_its_claim() {
+        use std::cell::Cell;
+        thread_local! {
+            // Set by the failing attempt, so only its own worker's rebuild
+            // panics, whichever thread that is.
+            static TORN: Cell<bool> = const { Cell::new(false) };
+        }
+        for workers in [1, 2, 8] {
+            let report = run_indexed_supervised_with(
+                20,
+                &PoolConfig::with_workers(workers),
+                &SupervisorPolicy::default(),
+                || {
+                    if TORN.with(|t| t.replace(false)) {
+                        panic!("scratch rebuild fails");
+                    }
+                },
+                |(), idx, _attempt| {
+                    if idx == 5 {
+                        TORN.with(|t| t.set(true));
+                        panic!("job 5 tears its scratch");
+                    }
+                    idx
+                },
+            );
+            match &report.results[5] {
+                Outcome::Panicked { message, attempts: 1 } => {
+                    assert!(message.contains("lost the claim"), "workers={workers}: {message}")
+                }
+                other => panic!("workers={workers}: {other:?}"),
+            }
+            for (i, outcome) in report.results.iter().enumerate().filter(|(i, _)| *i != 5) {
+                assert_eq!(*outcome, Outcome::Ok(i), "workers={workers}");
+            }
+            assert_eq!(report.errors.iter().map(|f| f.index).collect::<Vec<_>>(), vec![5]);
+            assert_eq!(report.stats.gave_up, 1, "workers={workers}");
+            assert_eq!(report.stats.respawns, 1, "workers={workers}");
+        }
     }
 
     #[test]

@@ -275,7 +275,9 @@ crate::telemetry::declare_metrics! {
 pub struct ShardedEngineConfig {
     /// Shards on the ring.
     pub shards: usize,
-    /// Worker threads per shard pool (`0` = one per core).
+    /// Workers per shard pool, the calling thread included (`0` = one per
+    /// core). At the default of `1` a batch spawns no thread: the caller
+    /// encodes every house itself.
     pub workers: usize,
     /// Lookup tables each shard's cache retains.
     pub table_cache_capacity: usize,
@@ -632,7 +634,8 @@ impl ShardedFleetEngine {
 
             self.pool_stats.workers = self.pool_stats.workers.max(stats.workers);
             self.pool_stats.jobs += stats.jobs;
-            self.pool_stats.queue_capacity = stats.queue_capacity;
+            self.pool_stats.queue_capacity =
+                self.pool_stats.queue_capacity.max(stats.queue_capacity);
             self.pool_stats.max_queue_depth =
                 self.pool_stats.max_queue_depth.max(stats.max_queue_depth);
             self.pool_stats.panics += stats.panics;

@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh          # everything: fmt, clippy, tier-1, full suite
 #   scripts/ci.sh --quick  # skip the full --workspace test pass; run
-#                          # sms-core's unit tests in its place
+#                          # sms-core's unit and integration tests in its
+#                          # place
 #
 # Tier-1 (the must-stay-green contract, see README "Tests and benches"):
 #   cargo build --release && cargo test -q
@@ -125,8 +126,8 @@ if [[ $quick -eq 0 ]]; then
     echo "==> benchmark: perfbench's own tests, smoke runs of every workload (release)"
     cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 else
-    echo "==> sms-core unit tests: cargo test -q -p sms-core --lib"
-    cargo test -q -p sms-core --lib
+    echo "==> sms-core unit + integration tests: cargo test -q -p sms-core --lib --tests"
+    cargo test -q -p sms-core --lib --tests
 fi
 
 echo "==> docs freshness: README/DESIGN.md vs sms_core public modules"
