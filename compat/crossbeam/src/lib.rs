@@ -3,19 +3,15 @@
 //!
 //! This workspace builds with no crates.io access, so external dependencies
 //! are replaced by local implementations of exactly the API surface the
-//! workspace uses (see `compat/README.md`). For `crossbeam` that is:
-//!
-//! * [`channel::bounded`] / [`channel::unbounded`] MPMC channels with
-//!   cloneable [`channel::Sender`]/[`channel::Receiver`] ends, blocking
-//!   `send`/`recv`, non-blocking `try_send`/`try_recv`, and a blocking
-//!   `iter()`;
-//! * [`thread::scope`] scoped spawning (a thin wrapper over
-//!   `std::thread::scope`).
+//! workspace uses (see `compat/README.md`). For `crossbeam` that is
+//! [`channel::bounded`]: an MPMC channel with cloneable
+//! [`channel::Sender`]/[`channel::Receiver`] ends, a blocking `send`, a
+//! blocking `recv`, a non-blocking `try_recv`, and a blocking `iter()`.
 //!
 //! The channel is a `Mutex` + two-`Condvar` ring buffer — simple rather than
-//! lock-free, but it preserves the semantics the engine relies on: FIFO
-//! order per channel, backpressure on `send` when a bounded channel is full,
-//! and disconnect detection when all peers on the other side are dropped.
+//! lock-free, but it preserves the semantics its callers rely on: FIFO
+//! order per channel, backpressure on `send` while the channel is full, and
+//! disconnect detection when all peers on the other side are dropped.
 
 /// Multi-producer multi-consumer FIFO channels.
 pub mod channel {
@@ -24,7 +20,7 @@ pub mod channel {
 
     struct State<T> {
         queue: VecDeque<T>,
-        cap: Option<usize>,
+        cap: usize,
         senders: usize,
         receivers: usize,
     }
@@ -56,25 +52,6 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Sender::try_send`]; the unsent message is handed
-    /// back in either case.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The bounded channel is at capacity; sending would block.
-        Full(T),
-        /// Every receiver has been dropped.
-        Disconnected(T),
-    }
-
-    impl<T> std::fmt::Display for TrySendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("sending on a full channel"),
-                TrySendError::Disconnected(_) => f.write_str("sending on a disconnected channel"),
-            }
-        }
-    }
-
     /// Error returned by [`Receiver::recv`] when the channel is empty and
     /// every sender is gone.
     #[derive(Debug, PartialEq, Eq)]
@@ -99,15 +76,6 @@ pub mod channel {
     /// blocks (backpressure) while the channel is full.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
         assert!(cap > 0, "bounded channel capacity must be positive");
-        with_cap(Some(cap))
-    }
-
-    /// Creates a channel with no capacity limit; `send` never blocks.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_cap(None)
-    }
-
-    fn with_cap<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
             state: Mutex::new(State { queue: VecDeque::new(), cap, senders: 1, receivers: 1 }),
             not_empty: Condvar::new(),
@@ -125,48 +93,15 @@ pub mod channel {
                 if state.receivers == 0 {
                     return Err(SendError(msg));
                 }
-                match state.cap {
-                    Some(cap) if state.queue.len() >= cap => {
-                        state = self.inner.not_full.wait(state).unwrap();
-                    }
-                    _ => break,
+                if state.queue.len() < state.cap {
+                    break;
                 }
+                state = self.inner.not_full.wait(state).unwrap();
             }
             state.queue.push_back(msg);
             drop(state);
             self.inner.not_empty.notify_one();
             Ok(())
-        }
-
-        /// Non-blocking send: enqueues `msg` if there is room right now,
-        /// otherwise hands it back immediately instead of blocking.
-        pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.inner.state.lock().unwrap();
-            if state.receivers == 0 {
-                return Err(TrySendError::Disconnected(msg));
-            }
-            if let Some(cap) = state.cap {
-                if state.queue.len() >= cap {
-                    return Err(TrySendError::Full(msg));
-                }
-            }
-            state.queue.push_back(msg);
-            drop(state);
-            self.inner.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Number of messages currently sitting in the channel. Exact at the
-        /// instant of the call (taken under the channel lock), like the real
-        /// crossbeam `Sender::len`; for a bounded channel it never exceeds
-        /// the capacity.
-        pub fn len(&self) -> usize {
-            self.inner.state.lock().unwrap().queue.len()
-        }
-
-        /// Whether the channel currently holds no messages.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 
@@ -221,14 +156,6 @@ pub mod channel {
         }
     }
 
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
-        }
-    }
-
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
             self.inner.state.lock().unwrap().senders += 1;
@@ -270,63 +197,14 @@ pub mod channel {
     }
 }
 
-/// Scoped thread spawning, mirroring `crossbeam::thread`.
-pub mod thread {
-    use std::thread as stdthread;
-
-    /// Handle passed to the [`scope`] closure; spawns threads that may borrow
-    /// from the enclosing stack frame.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope stdthread::Scope<'scope, 'env>,
-    }
-
-    /// Join handle for a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: stdthread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<T> ScopedJoinHandle<'_, T> {
-        /// Waits for the thread to finish, returning its result (or the
-        /// panic payload if it panicked).
-        pub fn join(self) -> stdthread::Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread. As in crossbeam, the closure receives the
-        /// scope again so it can spawn siblings.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle { inner: inner.spawn(move || f(&Scope { inner })) }
-        }
-    }
-
-    /// Runs `f` with a scope handle; all spawned threads are joined before
-    /// this returns. Unlike upstream crossbeam, a panic in an unjoined
-    /// spawned thread propagates (via `std::thread::scope`) instead of being
-    /// returned in the `Err` arm — every caller here unwraps immediately, so
-    /// the observable behaviour is the same.
-    pub fn scope<'env, F, R>(f: F) -> stdthread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(stdthread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, TryRecvError};
+    use super::channel::{bounded, TryRecvError};
     use std::time::Duration;
 
     #[test]
     fn fifo_and_disconnect() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = bounded(16);
         for i in 0..10 {
             tx.send(i).unwrap();
         }
@@ -338,7 +216,7 @@ mod tests {
 
     #[test]
     fn send_fails_when_receivers_gone() {
-        let (tx, rx) = unbounded::<u32>();
+        let (tx, rx) = bounded::<u32>(1);
         drop(rx);
         assert!(tx.send(1).is_err());
     }
@@ -362,26 +240,14 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_full_and_disconnected() {
-        use super::channel::TrySendError;
-        let (tx, rx) = bounded::<u32>(1);
-        assert_eq!(tx.try_send(1), Ok(()));
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)), "full channel hands msg back");
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.try_send(3), Ok(()));
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-    }
-
-    #[test]
     fn mpmc_delivers_every_message_once() {
         let (tx, rx) = bounded::<u64>(8);
         let n_workers = 4;
         let per_producer = 100u64;
-        crate::thread::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..n_workers {
                 let tx = tx.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per_producer {
                         tx.send(p * per_producer + i).unwrap();
                     }
@@ -391,25 +257,13 @@ mod tests {
             let consumers: Vec<_> = (0..n_workers)
                 .map(|_| {
                     let rx = rx.clone();
-                    s.spawn(move |_| rx.iter().collect::<Vec<u64>>())
+                    s.spawn(move || rx.iter().collect::<Vec<u64>>())
                 })
                 .collect();
             let mut all: Vec<u64> = consumers.into_iter().flat_map(|h| h.join().unwrap()).collect();
             all.sort_unstable();
             let expect: Vec<u64> = (0..n_workers * per_producer).collect();
             assert_eq!(all, expect);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn scoped_threads_borrow_stack_data() {
-        let data = [1u32, 2, 3];
-        let sum = crate::thread::scope(|s| {
-            let h = s.spawn(|_| data.iter().sum::<u32>());
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(sum, 6);
+        });
     }
 }

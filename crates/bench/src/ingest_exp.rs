@@ -2,11 +2,10 @@
 //!
 //! The paper motivates symbols by the cost of shipping meter data to a
 //! server; this experiment reproduces that link end to end and then attacks
-//! it. A synthetic fleet is encoded through the parallel
-//! [`FleetStream`] engine (feeding with the hardened
-//! [`try_feed`](FleetStream::try_feed) path, so backpressure is counted
-//! rather than deadlocking), each meter's table + window messages are
-//! serialized to the length-prefixed wire format, a deterministic
+//! it. Each meter of a synthetic fleet encodes its own readings with an
+//! [`OnlineEncoder`] (the paper's online conversion, run on the sensor),
+//! each meter's table + window messages are serialized to the
+//! length-prefixed wire format, a deterministic
 //! [`FaultInjector`] corrupts the byte streams (bit flips, truncation,
 //! duplication), delivery is split at random mid-frame boundaries, and the
 //! server-side [`FleetIngest`] gateway decodes what survives. The
@@ -27,11 +26,11 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::scale::Scale;
 use meterdata::generator::fleet_series;
-use sms_core::encoder::SensorMessage;
-use sms_core::engine::{EngineConfig, EngineStats, FleetStream, WindowEvent};
-use sms_core::error::{Error, Result};
+use sms_core::encoder::{OnlineEncoder, SensorMessage};
+use sms_core::engine::EngineStats;
+use sms_core::error::Result;
 use sms_core::ingest::{FleetIngest, IngestConfig};
-use sms_core::pipeline::CodecBuilder;
+use sms_core::pipeline::{CodecBuilder, VerticalPolicy};
 use sms_core::separators::SeparatorMethod;
 use sms_core::timeseries::Sample;
 use sms_core::wire::encode_message;
@@ -311,8 +310,7 @@ pub fn run_ingest(scale: Scale, faults: bool) -> Result<IngestReport> {
     let fleet =
         fleet_series(scale.seed, houses as u32, scale.days.clamp(1, 7), scale.interval_secs)?;
 
-    // Stage 1 — train a shared table, then encode the fleet through the
-    // streaming engine using the hardened non-blocking feed path.
+    // Stage 1 — train a shared table.
     let t_train = Instant::now();
     let codec = CodecBuilder::new()
         .method(SeparatorMethod::Median)
@@ -320,37 +318,36 @@ pub fn run_ingest(scale: Scale, faults: bool) -> Result<IngestReport> {
         .window_secs(3600)
         .train(&fleet[0])?;
     let train_secs = t_train.elapsed().as_secs_f64();
+    let VerticalPolicy::Window { window_secs, min_samples } = codec.vertical_policy() else {
+        unreachable!("the codec is built with a wall-clock window");
+    };
 
-    let config = EngineConfig::with_workers(2).channel_capacity(8);
-    let mut stream = FleetStream::spawn(&codec, &config)?;
+    // Stage 2 — each meter encodes its own readings online and serializes
+    // its stream: the table first, then one frame per closed window.
     let t_encode = Instant::now();
-    let mut events: Vec<WindowEvent> = Vec::new();
-    for (house, series) in fleet.iter().enumerate() {
-        let samples: Vec<_> = series.iter().collect();
-        for chunk in samples.chunks(512) {
-            loop {
-                match stream.try_feed(house, chunk) {
-                    Ok(()) => break,
-                    Err(Error::WouldBlock) => events.extend(stream.drain()?),
-                    Err(e) => return Err(e),
-                }
+    let table_frame = encode_message(&SensorMessage::Table(codec.table().clone()))?;
+    let mut wires: Vec<Vec<u8>> = Vec::with_capacity(houses);
+    let mut symbols_out = 0u64;
+    for series in &fleet {
+        let mut encoder =
+            OnlineEncoder::new(codec.table().clone(), window_secs, codec.aggregation())?
+                .with_min_samples(min_samples);
+        let mut wire = table_frame.clone();
+        for (t, v) in series.iter() {
+            if let Some(window) = encoder.push(t, v)? {
+                wire.extend(encode_message(&SensorMessage::Window(window))?);
+                symbols_out += 1;
             }
         }
+        if let Some(window) = encoder.finish() {
+            wire.extend(encode_message(&SensorMessage::Window(window))?);
+            symbols_out += 1;
+        }
+        wires.push(wire);
     }
-    let samples_in = stream.samples_in();
-    let stalls = stream.backpressure_stalls();
-    events.extend(stream.finish()?);
     let encode_secs = t_encode.elapsed().as_secs_f64();
-
-    // Stage 2 — serialize each meter's stream: its table first, then every
-    // window the engine emitted for it.
-    let table_frame = encode_message(&SensorMessage::Table(codec.table().clone()))?;
-    let mut wires: Vec<Vec<u8>> = vec![table_frame; houses];
-    let mut frames_sent = houses as u64;
-    for ev in &events {
-        wires[ev.house].extend(encode_message(&SensorMessage::Window(ev.window))?);
-        frames_sent += 1;
-    }
+    let samples_in: u64 = fleet.iter().map(|s| s.len() as u64).sum();
+    let frames_sent = houses as u64 + symbols_out;
 
     // Stage 3 — deterministic corruption, roughly one fault per 1.5 kB.
     let mut injector = FaultInjector::new(scale.seed ^ 0x1B4D_F00D);
@@ -378,17 +375,14 @@ pub fn run_ingest(scale: Scale, faults: bool) -> Result<IngestReport> {
         }
     }
 
-    let mut ingest_stats = gateway.stats();
-    ingest_stats.backpressure_stalls = stalls;
-    ingest_stats.feed_secs = encode_secs;
     let stats = EngineStats {
-        workers: config.workers,
+        workers: 1,
         houses,
         samples_in,
-        symbols_out: events.len() as u64,
+        symbols_out,
         train_secs,
         encode_secs,
-        ingest: Some(ingest_stats),
+        ingest: Some(gateway.stats()),
         ..Default::default()
     };
     Ok(IngestReport { faults, houses, frames_sent, faults_injected, messages_decoded, stats })
@@ -401,8 +395,7 @@ pub fn render_ingest(r: &IngestReport) -> String {
         "ingest: {} meters, {} samples -> {} frames on the wire (faults: {})\n\
          transport: {} faults injected, {} bytes delivered in mid-frame chunks\n\
          gateway: {} ok, {} corrupt, {} oversized, {} resyncs -> {} messages \
-         ({:.1}% frame survival)\n\
-         backpressure: {} stalls absorbed by try_feed",
+         ({:.1}% frame survival)",
         r.houses,
         r.stats.samples_in,
         r.frames_sent,
@@ -415,7 +408,6 @@ pub fn render_ingest(r: &IngestReport) -> String {
         s.resyncs,
         r.messages_decoded,
         100.0 * s.frame_success_rate(),
-        s.backpressure_stalls,
     )
 }
 
@@ -564,7 +556,6 @@ mod tests {
         assert_eq!(r.messages_decoded, r.frames_sent);
         let json = r.stats.to_json();
         assert!(json.contains("\"ingest\""), "{json}");
-        assert!(json.contains("backpressure_stalls"), "{json}");
     }
 
     #[test]
@@ -580,6 +571,16 @@ mod tests {
         assert!(s.frame_success_rate() > 0.8, "expected most frames to survive: {s:?}");
         let rendered = render_ingest(&r);
         assert!(rendered.contains("faults: on"));
-        assert!(rendered.contains("stalls"));
+    }
+
+    #[test]
+    fn faulted_run_is_deterministic() {
+        let run = || {
+            let r = run_ingest(Scale::quick(), true).unwrap();
+            let mut ingest = r.stats.ingest.clone().unwrap();
+            ingest.decode_secs = 0.0;
+            (r.frames_sent, r.faults_injected, r.messages_decoded, r.stats.symbols_out, ingest)
+        };
+        assert_eq!(run(), run());
     }
 }

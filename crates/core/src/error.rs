@@ -94,17 +94,6 @@ pub enum Error {
         /// The decoder's configured maximum.
         max: usize,
     },
-    /// A non-blocking operation could not proceed without blocking (e.g.
-    /// [`try_feed`](crate::engine::FleetStream::try_feed) on a full queue).
-    /// Retry after draining, or use a timeout-based variant.
-    WouldBlock,
-    /// A bounded-wait operation gave up after its timeout elapsed (e.g.
-    /// [`feed_timeout`](crate::engine::FleetStream::feed_timeout) against a
-    /// pipeline that never drained).
-    FeedTimeout {
-        /// How long the operation waited before giving up, in milliseconds.
-        waited_ms: u64,
-    },
     /// A gateway connection was throttled by its token-bucket rate limiter:
     /// the session's bucket is empty and reads are paused until it refills.
     /// Counted in [`crate::gateway::GatewayStats::rate_limit_hits`], never
@@ -191,10 +180,6 @@ impl fmt::Display for Error {
             Error::WireFormat(msg) => write!(f, "wire format error: {msg}"),
             Error::FrameTooLarge { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the decoder limit of {max} bytes")
-            }
-            Error::WouldBlock => write!(f, "operation would block (queue full)"),
-            Error::FeedTimeout { waited_ms } => {
-                write!(f, "feed timed out after {waited_ms} ms of backpressure")
             }
             Error::RateLimited { meter } => {
                 write!(f, "meter {meter} rate-limited: token bucket empty, reads paused")

@@ -1359,6 +1359,29 @@ mod tests {
     }
 
     #[test]
+    fn ingest_shards_enforce_global_caps_in_fleet_order() {
+        let shards =
+            IngestShards::new(4, IngestConfig::default().max_meters(2).max_buffered_bytes(8))
+                .unwrap();
+        // Partial frames stay buffered (a valid window tag, header cut short).
+        assert_eq!(shards.ingest_commit(1, &[0x02, 0]), Some(0));
+        assert_eq!(shards.ingest_commit(2, &[0x02, 0]), Some(0));
+        // The backlog check fires before the meter cap (FleetIngest order).
+        assert_eq!(shards.ingest_commit(3, &[0; 16]), None);
+        let stats = shards.stats();
+        assert_eq!((stats.backlog_rejections, stats.meters_rejected), (1, 0));
+        // A small chunk from a third meter trips the global meter cap even
+        // though its shard has room.
+        assert_eq!(shards.ingest_commit(3, &[0]), None);
+        assert_eq!(shards.stats().meters_rejected, 1);
+        // Neither refusal changed any state.
+        assert_eq!(shards.meters.load(Ordering::Acquire), 2);
+        assert_eq!(shards.buffered.load(Ordering::Acquire), 4);
+        // Existing meters keep flowing.
+        assert_eq!(shards.ingest_commit(1, &[0]), Some(0));
+    }
+
+    #[test]
     fn stats_json_has_every_counter() {
         let stats = GatewayStats {
             connections_accepted: 1,

@@ -8,7 +8,7 @@
 //! meters cannot afford to trust a single byte, abort a connection on the
 //! first bad frame, or let one misbehaving producer wedge the pipeline.
 //!
-//! Three layers provide that hardening:
+//! Two layers provide that hardening:
 //!
 //! * [`crate::wire::FrameDecoder`] enforces a frame-size cap
 //!   ([`Error::FrameTooLarge`]) and exposes
@@ -17,12 +17,7 @@
 //! * [`MeterIngest`] (this module) is the per-meter gateway: it owns one
 //!   decoder, turns the error/resync dance into a simple
 //!   [`ingest`](MeterIngest::ingest) call, and counts every outcome in
-//!   [`IngestStats`];
-//! * [`crate::engine::FleetStream::try_feed`] /
-//!   [`feed_timeout`](crate::engine::FleetStream::feed_timeout) turn
-//!   downstream backpressure into typed errors
-//!   ([`Error::WouldBlock`] / [`Error::FeedTimeout`]) instead of the
-//!   unbounded stall a never-draining producer used to cause.
+//!   [`IngestStats`].
 //!
 //! [`IngestStats`] merges into [`crate::engine::EngineStats`] (its `ingest`
 //! JSON block), so one counter line describes a whole collector run:
@@ -148,9 +143,6 @@ pub struct IngestStats {
     /// plausible frame boundary (see
     /// [`resync`](crate::wire::FrameDecoder::resync)).
     pub bytes_discarded: u64,
-    /// Times a downstream feed was rejected or had to back off
-    /// ([`crate::engine::FleetStream::backpressure_stalls`]).
-    pub backpressure_stalls: u64,
     /// Chunks rejected because the sending meter would exceed
     /// [`IngestConfig::max_meters`].
     pub meters_rejected: u64,
@@ -159,9 +151,6 @@ pub struct IngestStats {
     pub backlog_rejections: u64,
     /// Wall time spent in wire decode (including resync scans), seconds.
     pub decode_secs: f64,
-    /// Wall time spent feeding decoded data downstream (including
-    /// backpressure waits), seconds.
-    pub feed_secs: f64,
     /// Wire sizes (header + payload bytes) of successfully decoded
     /// frames. Rendered through the `"histograms"` section of
     /// [`crate::engine::EngineStats::to_json`], not this block's object.
@@ -179,13 +168,10 @@ crate::telemetry::declare_metrics! {
             "Bytes consumed by successfully decoded frames (header + payload).";
         add bytes_discarded, "bytes",
             "Bytes discarded by corruption resyncs scanning for a frame boundary.";
-        add backpressure_stalls, "stalls",
-            "Times a downstream feed was rejected or had to back off.";
         add meters_rejected, "chunks", "Chunks rejected because the meter would exceed max_meters.";
         add backlog_rejections, "chunks",
             "Chunks rejected because the byte backlog cap would be exceeded.";
         set_f64 decode_secs, "seconds", "Wall time spent in wire decode (including resync scans).";
-        set_f64 feed_secs, "seconds", "Wall time spent feeding decoded data downstream.";
         merge_histogram frame_bytes, "bytes", "Wire sizes of successfully decoded frames.";
     }
 }
@@ -200,11 +186,9 @@ impl IngestStats {
         self.bytes_in += other.bytes_in;
         self.bytes_decoded += other.bytes_decoded;
         self.bytes_discarded += other.bytes_discarded;
-        self.backpressure_stalls += other.backpressure_stalls;
         self.meters_rejected += other.meters_rejected;
         self.backlog_rejections += other.backlog_rejections;
         self.decode_secs += other.decode_secs;
-        self.feed_secs += other.feed_secs;
         self.frame_bytes.merge(&other.frame_bytes);
     }
 
@@ -647,11 +631,9 @@ mod tests {
             bytes_in: 5,
             bytes_decoded: 9,
             bytes_discarded: 10,
-            backpressure_stalls: 6,
             meters_rejected: 7,
             backlog_rejections: 8,
             decode_secs: 0.5,
-            feed_secs: 0.25,
             ..IngestStats::default()
         };
         let json = stats.to_json();
@@ -663,11 +645,9 @@ mod tests {
             "bytes_in",
             "bytes_decoded",
             "bytes_discarded",
-            "backpressure_stalls",
             "meters_rejected",
             "backlog_rejections",
             "decode_secs",
-            "feed_secs",
         ] {
             assert!(json.contains(key), "{json} missing {key}");
         }

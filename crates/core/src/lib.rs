@@ -94,7 +94,7 @@ pub mod prelude {
     pub use crate::quality::{Policy, QualityReport, Sanitizer, SanitizerConfig};
     pub use crate::segstore::{SegmentStore, StoreStats};
     pub use crate::separators::SeparatorMethod;
-    pub use crate::shard::{ShardRouter, ShardStats, ShardedFleetEngine, ShardedIngest};
+    pub use crate::shard::{ShardRouter, ShardStats, ShardedFleetEngine};
     pub use crate::symbol::Symbol;
     pub use crate::timeseries::{Sample, TimeSeries, Timestamp};
     pub use crate::vertical::{aggregate_by_window, vertical_segmentation, Aggregation};

@@ -45,7 +45,6 @@ use crate::adaptive::{check_threshold, check_window, AdaptiveStats, DriftDetecto
 use crate::engine::{PanicPlan, QuarantineReason, Quarantined};
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
-use crate::ingest::{FleetIngest, IngestConfig, IngestStats};
 use crate::lookup::LookupTable;
 use crate::pipeline::{CodecBuilder, SymbolicCodec};
 use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
@@ -734,84 +733,6 @@ fn inject_chaos(plan: Option<&PanicPlan>, house: usize, attempt: u32) {
     }
 }
 
-/// [`FleetIngest`] partitioned by the ring: per-shard meter maps and
-/// backlog accounting, with the **global** `max_meters` /
-/// `max_buffered_bytes` caps still enforced exactly, in
-/// [`FleetIngest::ingest`]'s check order (backlog first, then the meter
-/// cap, then delegation — a rejected chunk changes no state).
-#[derive(Debug)]
-pub struct ShardedIngest {
-    config: IngestConfig,
-    router: ShardRouter,
-    shards: Vec<FleetIngest>,
-    meters_rejected: u64,
-    backlog_rejections: u64,
-}
-
-impl ShardedIngest {
-    /// A sharded router enforcing `config`'s caps globally.
-    pub fn new(shards: usize, config: IngestConfig) -> Result<Self> {
-        let router = ShardRouter::new(shards)?;
-        // Per-shard instances run uncapped — the global caps are enforced
-        // here, before delegation, so a shard can never double-reject.
-        let uncapped = config.max_meters(usize::MAX).max_buffered_bytes(usize::MAX);
-        let shards = (0..router.shards()).map(|_| FleetIngest::new(uncapped)).collect();
-        Ok(ShardedIngest { config, router, shards, meters_rejected: 0, backlog_rejections: 0 })
-    }
-
-    /// Feeds bytes received from one meter; see [`FleetIngest::ingest`].
-    pub fn ingest(
-        &mut self,
-        meter: u64,
-        bytes: &[u8],
-    ) -> Result<Vec<crate::encoder::SensorMessage>> {
-        let buffered = self.buffered_total();
-        if buffered.saturating_add(bytes.len()) > self.config.max_buffered_bytes {
-            self.backlog_rejections += 1;
-            return Err(Error::BacklogExceeded {
-                buffered,
-                incoming: bytes.len(),
-                max: self.config.max_buffered_bytes,
-            });
-        }
-        let shard = self.router.route(meter);
-        if self.shards[shard].meter(meter).is_none() && self.meter_count() >= self.config.max_meters
-        {
-            self.meters_rejected += 1;
-            return Err(Error::TooManyMeters { max: self.config.max_meters });
-        }
-        self.shards[shard].ingest(meter, bytes)
-    }
-
-    /// Distinct meters across every shard.
-    pub fn meter_count(&self) -> usize {
-        self.shards.iter().map(FleetIngest::meter_count).sum()
-    }
-
-    /// Bytes buffered across every shard (an `O(shards)` sum — each shard
-    /// tracks its own total in `O(1)`).
-    pub fn buffered_total(&self) -> usize {
-        self.shards.iter().map(FleetIngest::buffered_total).sum()
-    }
-
-    /// The shard index owning `meter`.
-    pub fn shard_of(&self, meter: u64) -> usize {
-        self.router.route(meter)
-    }
-
-    /// Counters merged across every shard, with the fleet-level rejection
-    /// counters taken from the global checks here.
-    pub fn stats(&self) -> IngestStats {
-        let mut total = IngestStats::default();
-        for s in &self.shards {
-            total.merge(&s.stats());
-        }
-        total.meters_rejected = self.meters_rejected;
-        total.backlog_rejections = self.backlog_rejections;
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1062,33 +983,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sharded_ingest_enforces_global_caps_in_fleet_order() {
-        let cfg = IngestConfig::default().max_meters(2).max_buffered_bytes(8);
-        let mut s = ShardedIngest::new(4, cfg).unwrap();
-        // Partial frames stay buffered (a valid window tag, header cut short).
-        s.ingest(1, &[0x02, 0]).unwrap();
-        s.ingest(2, &[0x02, 0]).unwrap();
-        // Backlog check fires before the meter cap (FleetIngest order).
-        match s.ingest(3, &[0; 16]) {
-            Err(Error::BacklogExceeded { buffered, incoming, max }) => {
-                assert_eq!((buffered, incoming, max), (4, 16, 8));
-            }
-            other => panic!("expected BacklogExceeded, got {other:?}"),
-        }
-        // Small chunk from a third meter trips the global meter cap even
-        // though its shard has capacity.
-        match s.ingest(3, &[0]) {
-            Err(Error::TooManyMeters { max }) => assert_eq!(max, 2),
-            other => panic!("expected TooManyMeters, got {other:?}"),
-        }
-        // Existing meters keep flowing.
-        s.ingest(1, &[0]).unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.meters_rejected, 1);
-        assert_eq!(stats.backlog_rejections, 1);
     }
 
     #[test]

@@ -39,8 +39,17 @@ if [[ $quick -eq 0 ]]; then
     echo "==> wire hardening: mutation fuzz (release)"
     cargo test -q --release --test failure_injection mutation_fuzz
 
-    echo "==> wire hardening: repro ingest --faults smoke"
-    cargo run -q --release -p sms-bench --bin repro -- ingest --faults
+    metrics_tmp=$(mktemp -d)
+    trap 'rm -rf "$metrics_tmp"' EXIT
+
+    echo "==> wire hardening: repro ingest --faults --metrics smoke"
+    cargo run -q --release -p sms-bench --bin repro -- \
+        ingest --faults "--metrics=$metrics_tmp/ingest.prom" \
+        > "$metrics_tmp/ingest.out"
+    grep -q '^metrics_json: ' "$metrics_tmp/ingest.out"
+    grep -q '^# TYPE sms_ingest_frames_ok counter$' "$metrics_tmp/ingest.prom"
+    cargo run -q --release -p sms-bench --bin repro -- \
+        validate-metrics "$metrics_tmp/ingest.out"
 
     echo "==> ml split-search bench smoke (down-scaled)"
     BENCH_ML_SMOKE=1 cargo bench -q -p sms-bench --bench ml
@@ -69,8 +78,6 @@ if [[ $quick -eq 0 ]]; then
     BENCH_QUALITY_SMOKE=1 cargo bench -q -p sms-bench --bench quality
 
     echo "==> telemetry: --metrics exporter smoke (JSON shape via sms_core::json)"
-    metrics_tmp=$(mktemp -d)
-    trap 'rm -rf "$metrics_tmp"' EXIT
     cargo run -q --release -p sms-bench --bin repro -- \
         fleet --parallel --workers 2 "--metrics=$metrics_tmp/fleet.prom" \
         > "$metrics_tmp/fleet.out"

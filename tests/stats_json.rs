@@ -40,11 +40,9 @@ fn populated() -> EngineStats {
             bytes_in: 15,
             bytes_decoded: 16,
             bytes_discarded: 17,
-            backpressure_stalls: 18,
             meters_rejected: 19,
             backlog_rejections: 20,
             decode_secs: 0.5,
-            feed_secs: 0.75,
             frame_bytes: hist(&[40, 300]),
         }),
         eval: Some(EvalStats {
@@ -155,9 +153,9 @@ fn to_json_pins_every_block_byte_for_byte() {
         "\"samples_per_sec\":2000.0,\"symbols_per_sec\":200.0,",
         "\"ingest\":{\"frames_ok\":11,\"frames_corrupt\":12,\"resyncs\":13,",
         "\"frames_oversized\":14,\"bytes_in\":15,\"bytes_decoded\":16,",
-        "\"bytes_discarded\":17,\"backpressure_stalls\":18,",
+        "\"bytes_discarded\":17,",
         "\"meters_rejected\":19,\"backlog_rejections\":20,",
-        "\"decode_secs\":0.5,\"feed_secs\":0.75},",
+        "\"decode_secs\":0.5},",
         "\"eval\":{\"cells\":21,\"folds\":22,\"train_secs\":2.5,\"test_secs\":3.5,",
         "\"workers\":23,\"max_queue_depth\":24},",
         "\"pool\":{\"workers\":25,\"jobs\":26,\"queue_capacity\":27,\"max_queue_depth\":28,",

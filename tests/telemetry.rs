@@ -38,7 +38,6 @@ fn scrub(mut s: EngineStats) -> EngineStats {
     s.encode_secs = 0.0;
     if let Some(i) = &mut s.ingest {
         i.decode_secs = 0.0;
-        i.feed_secs = 0.0;
     }
     if let Some(e) = &mut s.eval {
         e.train_secs = 0.0;
@@ -173,11 +172,9 @@ fn to_json_preserves_legacy_keys_byte_for_byte() {
             bytes_in: 5,
             bytes_decoded: 11,
             bytes_discarded: 10,
-            backpressure_stalls: 4,
             meters_rejected: 3,
             backlog_rejections: 2,
             decode_secs: 0.5,
-            feed_secs: 0.25,
             ..IngestStats::default()
         }),
         eval: Some(EvalStats {
@@ -230,9 +227,9 @@ fn to_json_preserves_legacy_keys_byte_for_byte() {
         "\"samples_per_sec\":2000.0,\"symbols_per_sec\":200.0,",
         "\"ingest\":{\"frames_ok\":9,\"frames_corrupt\":8,\"resyncs\":7,",
         "\"frames_oversized\":6,\"bytes_in\":5,\"bytes_decoded\":11,",
-        "\"bytes_discarded\":10,\"backpressure_stalls\":4,",
+        "\"bytes_discarded\":10,",
         "\"meters_rejected\":3,\"backlog_rejections\":2,",
-        "\"decode_secs\":0.5,\"feed_secs\":0.25},",
+        "\"decode_secs\":0.5},",
         "\"eval\":{\"cells\":26,\"folds\":260,\"train_secs\":1.5,\"test_secs\":2.5,",
         "\"workers\":4,\"max_queue_depth\":9},",
         "\"pool\":{\"workers\":4,\"jobs\":7,\"queue_capacity\":64,\"max_queue_depth\":7,",
