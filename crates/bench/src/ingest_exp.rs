@@ -32,6 +32,7 @@ use sms_core::error::Result;
 use sms_core::ingest::{FleetIngest, IngestConfig};
 use sms_core::pipeline::{CodecBuilder, VerticalPolicy};
 use sms_core::separators::SeparatorMethod;
+use sms_core::telemetry::Log2Histogram;
 use sms_core::timeseries::Sample;
 use sms_core::wire::encode_message;
 
@@ -328,21 +329,27 @@ pub fn run_ingest(scale: Scale, faults: bool) -> Result<IngestReport> {
     let table_frame = encode_message(&SensorMessage::Table(codec.table().clone()))?;
     let mut wires: Vec<Vec<u8>> = Vec::with_capacity(houses);
     let mut symbols_out = 0u64;
+    let mut house_samples = Log2Histogram::new();
+    let mut house_symbols = Log2Histogram::new();
     for series in &fleet {
         let mut encoder =
             OnlineEncoder::new(codec.table().clone(), window_secs, codec.aggregation())?
                 .with_min_samples(min_samples);
         let mut wire = table_frame.clone();
+        let mut windows = 0u64;
         for (t, v) in series.iter() {
             if let Some(window) = encoder.push(t, v)? {
                 wire.extend(encode_message(&SensorMessage::Window(window))?);
-                symbols_out += 1;
+                windows += 1;
             }
         }
         if let Some(window) = encoder.finish() {
             wire.extend(encode_message(&SensorMessage::Window(window))?);
-            symbols_out += 1;
+            windows += 1;
         }
+        symbols_out += windows;
+        house_samples.observe(series.len() as u64);
+        house_symbols.observe(windows);
         wires.push(wire);
     }
     let encode_secs = t_encode.elapsed().as_secs_f64();
@@ -383,6 +390,8 @@ pub fn run_ingest(scale: Scale, faults: bool) -> Result<IngestReport> {
         train_secs,
         encode_secs,
         ingest: Some(gateway.stats()),
+        house_samples,
+        house_symbols,
         ..Default::default()
     };
     Ok(IngestReport { faults, houses, frames_sent, faults_injected, messages_decoded, stats })
@@ -554,6 +563,11 @@ mod tests {
         assert_eq!(s.frames_corrupt + s.frames_oversized + s.resyncs, 0);
         assert_eq!(s.frames_ok, r.frames_sent);
         assert_eq!(r.messages_decoded, r.frames_sent);
+        // One observation per meter, as `FleetEngine` records them.
+        let e = &r.stats;
+        let houses = r.houses as u64;
+        assert_eq!((e.house_samples.count(), e.house_symbols.count()), (houses, houses));
+        assert_eq!((e.house_samples.sum(), e.house_symbols.sum()), (e.samples_in, e.symbols_out));
         let json = r.stats.to_json();
         assert!(json.contains("\"ingest\""), "{json}");
     }

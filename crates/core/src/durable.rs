@@ -1,5 +1,6 @@
 //! Crash-safe durability under the segment store: a write-ahead log,
-//! atomic generation-numbered checkpoints, and deterministic recovery.
+//! append-only generation-numbered checkpoints, and deterministic
+//! recovery.
 //!
 //! PR 8's [`crate::segstore::SegmentStore`] "persists" only as an
 //! in-memory image — a process crash loses every acknowledged symbol,
@@ -16,16 +17,22 @@
 //!   length-prefixed, CRC32-checksummed records, each built from the
 //!   store's packed bytes and carrying the separator epoch when it is not
 //!   0, with a group-commit fsync policy ([`DurableConfig::group_commit`])
-//!   and periodic atomic checkpoints: temp file + checksum footer +
-//!   rename + directory sync, tracked by a generation-numbered manifest.
-//!   The old generation's WAL is dropped only **after** its successor
-//!   checkpoint is durable.
-//! * Recovery ([`DurableStore::open`]) = latest valid checkpoint + WAL
-//!   replay. A torn WAL tail is scanned, verified, and truncated at the
-//!   first bad record — a typed count in [`RecoveryReport::discarded`],
-//!   never a panic. A corrupt newest checkpoint falls back one
-//!   generation (whose WAL is still on disk, because WAL disposal waits
-//!   for checkpoint durability).
+//!   and periodic checkpoints. A checkpoint appends one checksummed chunk
+//!   to the append-only `ckpt.log`: its generation and an `SMS2` image of
+//!   the segments stored since the previous checkpoint, so it writes what
+//!   changed, not the whole store. Its generation's record in the
+//!   manifest commits it. Each generation gets a fresh WAL, and WALs older
+//!   than the previous checkpoint are dropped only **after** the new one
+//!   is durable.
+//! * Recovery ([`DurableStore::open`]) = every chunk up to the manifest's
+//!   generation, joined into one store, + WAL replay. A torn WAL tail is
+//!   scanned, verified, and truncated at the first bad record — a typed
+//!   count in [`RecoveryReport::discarded`], never a panic — and chunks
+//!   of uncommitted checkpoints are cut off the same way. A corrupt or
+//!   missing newest chunk falls back to the chunks before it and replays
+//!   every WAL from their generation on, which are still on disk for
+//!   exactly that. Any other unreadable state is a typed [`Error::Io`],
+//!   and recovery then changes no file.
 //! * [`DurableFleet`] — one durable store per shard behind the
 //!   consistent-hash ring of [`crate::shard::ShardRouter`]. A shard whose
 //!   backend returns [`Error::Io`] is marked dead; its houses
@@ -44,10 +51,12 @@
 //!    the recovered image must be byte-identical to the reference prefix
 //!    at **every** resolution `r ∈ 1..=b`.
 //! 3. **Checkpoints are atomic.** A checkpoint is visible only after its
-//!    image (with the CRC32 footer of [`SegmentStore::to_bytes`]) is
-//!    fully synced, renamed into place, the directory synced, and its
-//!    generation appended to the manifest — so recovery can always trust
-//!    a manifest-listed generation or fall back one.
+//!    chunk (a CRC32-checked header, then an image with the CRC32 footer
+//!    of [`SegmentStore::to_bytes`]) is appended to `ckpt.log` and
+//!    synced, and its generation appended to the manifest and synced. So
+//!    recovery trusts every chunk up to a manifest-listed generation,
+//!    cuts off any later one, and can fall back one checkpoint because
+//!    the WALs it needs are kept until the next checkpoint is durable.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -56,17 +65,20 @@ use std::path::PathBuf;
 
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
-use crate::segstore::{SegmentMeta, SegmentStore};
+use crate::segstore::{parse_image, ImagePart, SegmentMeta, SegmentStore};
 use crate::shard::ShardRouter;
 
 // --- CRC32 ----------------------------------------------------------------
 
-/// The CRC32 (IEEE 802.3, reflected, `0xEDB88320`) lookup table, built at
-/// compile time — the workspace has no crates.io access, so the checksum
-/// is hand-rolled here and shared by the WAL, the manifest, and the
-/// segment-store image footer.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The CRC32 (IEEE 802.3, reflected, `0xEDB88320`) lookup tables for
+/// slicing-by-8, built at compile time — the workspace has no crates.io
+/// access, so the checksum is hand-rolled here and shared by the WAL, the
+/// manifest, the checkpoint chunks and the segment-store image footer.
+/// `CRC32_TABLES[0]` is the bytewise table; `CRC32_TABLES[k][b]` is the
+/// CRC register after byte `b` followed by `k` zero bytes, so eight
+/// lookups advance the register over eight bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -75,10 +87,20 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let c = tables[k - 1][i];
+            tables[k][i] = (c >> 8) ^ tables[0][(c & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `data`.
@@ -88,9 +110,22 @@ const CRC32_TABLE: [u32; 256] = {
 /// assert_eq!(sms_core::durable::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t7[(lo & 0xFF) as usize]
+            ^ t6[((lo >> 8) & 0xFF) as usize]
+            ^ t5[((lo >> 16) & 0xFF) as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[w[4] as usize]
+            ^ t2[w[5] as usize]
+            ^ t1[w[6] as usize]
+            ^ t0[w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t0[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -479,9 +514,13 @@ impl Storage for FaultStorage {
 
 /// Manifest file name (append-only generation records).
 const MANIFEST: &str = "MANIFEST";
-/// Checkpoint temp file (renamed into place on commit).
-const CKPT_TMP: &str = "ckpt.tmp";
+/// The append-only checkpoint file: one chunk per checkpoint, created at
+/// the first one.
+const CKPT_LOG: &str = "ckpt.log";
 
+/// The full store image a checkpoint wrote before checkpoints became
+/// chunks of [`CKPT_LOG`]. Recovery still loads it, and a later
+/// checkpoint removes it.
 fn ckpt_name(generation: u64) -> String {
     format!("ckpt-{generation:016x}.img")
 }
@@ -533,6 +572,55 @@ fn scan_records(buf: &[u8]) -> RecordScan<'_> {
         at = end;
     }
     RecordScan { payloads, valid_len: at as u64, torn: at != buf.len() }
+}
+
+/// Header of a checkpoint chunk: generation (`u64` LE), image length
+/// (`u64` LE), and the CRC32 of those 16 bytes (`u32` LE). The `SMS2`
+/// image that follows carries its own CRC32 footer.
+const CHUNK_HEADER: usize = 8 + 8 + 4;
+
+/// The committed checkpoint chunks at the head of [`CKPT_LOG`].
+struct ChunkChain<'a> {
+    /// The parsed image of each chunk, in file order.
+    parts: Vec<ImagePart<'a>>,
+    /// Generation of the last chunk (`0` when there is none).
+    generation: u64,
+    /// Bytes those chunks take: what follows is torn, corrupt or
+    /// uncommitted.
+    valid_len: u64,
+}
+
+/// Scans `buf` chunk by chunk, stopping (never panicking) at the first
+/// chunk whose header or image fails its checksum or its checks, whose
+/// generation does not rise, or whose generation is above `newest`, the
+/// manifest's (an uncommitted checkpoint).
+fn scan_chunks(buf: &[u8], newest: u64) -> ChunkChain<'_> {
+    let mut chain = ChunkChain { parts: Vec::new(), generation: 0, valid_len: 0 };
+    let mut at = 0usize;
+    while buf.len() - at >= CHUNK_HEADER {
+        let header = &buf[at..at + CHUNK_HEADER];
+        let generation = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
+        let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        let crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
+        if crc32(&header[..16]) != crc || generation <= chain.generation || generation > newest {
+            break;
+        }
+        let Some(end) = usize::try_from(len)
+            .ok()
+            .and_then(|len| (at + CHUNK_HEADER).checked_add(len))
+            .filter(|&end| end <= buf.len())
+        else {
+            break;
+        };
+        let Ok(part) = parse_image(&buf[at + CHUNK_HEADER..end]) else {
+            break;
+        };
+        chain.parts.push(part);
+        chain.generation = generation;
+        chain.valid_len = end as u64;
+        at = end;
+    }
+    chain
 }
 
 /// Fixed prefix of a WAL segment record:
@@ -660,8 +748,9 @@ pub struct RecoveryReport {
     /// Torn/corrupt tail records discarded from the WAL (the WAL file was
     /// truncated at the first bad record).
     pub discarded: u64,
-    /// Checkpoint generations that were listed in the manifest but
-    /// unreadable/corrupt, forcing a one-generation fallback.
+    /// `1` when the newest checkpoint listed in the manifest was corrupt
+    /// or missing, and the store was rebuilt from the one before it plus
+    /// every WAL since.
     pub fallbacks: u64,
 }
 
@@ -682,6 +771,8 @@ pub struct DurableStats {
     pub torn_records_dropped: u64,
     /// Checkpoints committed (manifest record durable).
     pub checkpoints: u64,
+    /// Bytes appended to checkpoint files (chunk headers included).
+    pub checkpoint_bytes: u64,
     /// Recoveries performed over existing on-disk state.
     pub recoveries: u64,
     /// WAL records replayed during recovery.
@@ -699,7 +790,9 @@ crate::telemetry::declare_metrics! {
         add torn_records_dropped, "records",
             "Torn or corrupt WAL tail records discarded (and truncated away) during recovery.";
         add checkpoints, "checkpoints",
-            "Atomic checkpoints committed (image synced, renamed, manifest record durable).";
+            "Checkpoints committed (chunk appended and synced, manifest record durable).";
+        add checkpoint_bytes, "bytes",
+            "Bytes appended to checkpoint files, chunk headers included.";
         add recoveries, "recoveries", "Recoveries performed over existing on-disk state at open.";
         add replayed_records, "records",
             "WAL records replayed on top of a checkpoint during recovery.";
@@ -717,6 +810,7 @@ impl DurableStats {
         self.fsyncs += other.fsyncs;
         self.torn_records_dropped += other.torn_records_dropped;
         self.checkpoints += other.checkpoints;
+        self.checkpoint_bytes += other.checkpoint_bytes;
         self.recoveries += other.recoveries;
         self.replayed_records += other.replayed_records;
         self.shard_failovers += other.shard_failovers;
@@ -741,9 +835,20 @@ pub struct DurableStore<S: Storage> {
     /// File name of the WAL being appended to (its generation's).
     wal: String,
     /// Newest generation ever listed in the manifest (checkpoints continue
-    /// from here even after a fallback, so a corrupt checkpoint is never
-    /// silently overwritten-in-place).
+    /// from here even after a fallback, so a generation is never reused).
     newest_gen: u64,
+    /// Generation of the newest checkpoint the store is built on: the
+    /// last chunk, a full image from before chunks, or `0` for the empty
+    /// store. It is below `newest_gen` only after a fallback.
+    base_gen: u64,
+    /// Segments and arena bytes that the chunks in `ckpt.log` hold; the
+    /// next chunk holds the segments after them.
+    checkpointed: (usize, u64),
+    /// Generations whose WAL or full image may still be on disk, in
+    /// order. A checkpoint removes the files of those below `base_gen`.
+    retained: Vec<u64>,
+    /// Whether this instance made `ckpt.log`'s directory entry durable.
+    ckpt_log_synced: bool,
     /// Records appended but not yet covered by a WAL fsync.
     unsynced: u64,
     /// Records durable (covered by a commit) in this store's lifetime plus
@@ -764,6 +869,10 @@ impl<S: Storage> DurableStore<S> {
             config,
             wal: wal_name(0),
             newest_gen: 0,
+            base_gen: 0,
+            checkpointed: (0, 0),
+            retained: vec![0],
+            ckpt_log_synced: false,
             unsynced: 0,
             durable_records: 0,
             since_checkpoint: 0,
@@ -788,75 +897,139 @@ impl<S: Storage> DurableStore<S> {
         report.recovered = true;
         self.stats.recoveries += 1;
 
-        // Manifest: last valid generation record wins; a torn tail is
-        // repaired in place so the next checkpoint appends cleanly.
+        // Everything is read and checked before any file changes, so a
+        // recovery that fails leaves the directory as it found it.
+        // Manifest: the last valid generation record wins, and commits
+        // every chunk up to it.
         let manifest = self.storage.read(MANIFEST)?;
-        let scan = scan_records(&manifest);
-        if scan.torn {
-            self.storage.truncate(MANIFEST, scan.valid_len)?;
-            self.sync(MANIFEST)?;
-        }
-        let newest = scan
+        let manifest_scan = scan_records(&manifest);
+        let mut generations: Vec<u64> = manifest_scan
             .payloads
             .iter()
-            .rev()
-            .find(|p| p.len() == 8)
+            .filter(|p| p.len() == 8)
             .map(|p| u64::from_le_bytes((*p).try_into().expect("8 bytes")))
-            .unwrap_or(0);
-        self.newest_gen = newest;
+            .collect();
+        let newest = generations.last().copied().unwrap_or(0);
+        generations.retain(|&g| g <= newest);
+        generations.push(newest);
+        generations.sort_unstable();
+        generations.dedup();
 
-        // Latest valid checkpoint, falling back one generation if the
-        // newest is unreadable or fails its image checksum.
-        let mut base = None;
-        for generation in [Some(newest), newest.checked_sub(1)].into_iter().flatten() {
-            if generation == 0 {
-                base = Some((0, SegmentStore::new()));
-                break;
-            }
-            let loaded = self
-                .storage
-                .read(&ckpt_name(generation))
-                .and_then(|img| SegmentStore::from_bytes(&img));
-            match loaded {
-                Ok(store) => {
-                    base = Some((generation, store));
-                    break;
+        // The base: the chunks up to the newest generation; without chunks,
+        // the full image an earlier build wrote at it. If the newest
+        // checkpoint is corrupt or missing, fall back to the one before it:
+        // the chunks that remain, else the newest older full image, else
+        // the empty store at generation 0. `log_cut` is the length to cut
+        // `ckpt.log` back to when anything follows the base's chunks. The
+        // file's bytes are dropped before the WALs are read.
+        let (base_gen, mut store, in_log, log_cut) = {
+            let log = match self.storage.exists(CKPT_LOG) {
+                true => self.storage.read(CKPT_LOG)?,
+                false => Vec::new(),
+            };
+            let chain = scan_chunks(&log, newest);
+            let log_cut = (log.len() as u64 > chain.valid_len).then_some(chain.valid_len);
+            let (base_gen, store, in_log) = if chain.generation == newest {
+                (newest, SegmentStore::from_parts(&chain.parts)?, true)
+            } else if let Some(store) =
+                chain.parts.is_empty().then(|| self.read_image(newest).ok()).flatten()
+            {
+                (newest, store, false)
+            } else {
+                report.fallbacks = 1;
+                let older_image = generations
+                    .iter()
+                    .rev()
+                    .find(|&&g| g < newest && self.storage.exists(&ckpt_name(g)));
+                match older_image {
+                    Some(&g) if chain.parts.is_empty() => (g, self.read_image(g)?, false),
+                    _ => (chain.generation, SegmentStore::from_parts(&chain.parts)?, true),
                 }
-                Err(_) => report.fallbacks += 1,
+            };
+            (base_gen, store, in_log, log_cut)
+        };
+        let checkpointed =
+            if in_log { (store.segment_count(), store.arena_bytes()) } else { (0, 0) };
+
+        // Replay every WAL from the base's generation on, in order. Only
+        // the newest may be missing (a crash between the manifest sync and
+        // its creation) or torn; a gap or a torn tail in an older one
+        // would lose committed records after it.
+        let mut newest_wal = None;
+        for &g in generations.iter().filter(|&&g| g >= base_gen) {
+            let name = wal_name(g);
+            if !self.storage.exists(&name) {
+                if g == newest {
+                    continue;
+                }
+                return Err(Error::Io(format!(
+                    "recovery from checkpoint generation {base_gen} needs {name}, which is gone \
+                     (the checkpoint after it is corrupt or missing)"
+                )));
+            }
+            let bytes = self.storage.read(&name)?;
+            let scan = scan_records(&bytes);
+            if scan.torn && g != newest {
+                return Err(Error::Io(format!(
+                    "{name} is corrupt after {} records, and newer WALs follow it",
+                    scan.payloads.len()
+                )));
+            }
+            for payload in &scan.payloads {
+                let (house, epoch, series) = decode_segment(payload)?;
+                store.append_epoch(house, epoch, &series)?;
+                report.replayed += 1;
+            }
+            if g == newest {
+                newest_wal = Some((scan.torn, scan.valid_len));
             }
         }
-        let Some((generation, store)) = base else {
-            return Err(Error::Io(format!(
-                "no valid checkpoint at generation {newest} or {}",
-                newest.saturating_sub(1)
-            )));
-        };
-        report.generation = generation;
-        self.wal = wal_name(generation);
-        self.store = store;
 
-        // WAL replay with torn-tail repair. A missing WAL (crash between
-        // the manifest sync and the WAL create) is an empty one.
-        if !self.storage.exists(&self.wal) {
-            self.storage.open(&self.wal)?;
-            self.sync_dir()?;
+        // The plan holds: repair the files. A torn manifest tail and the
+        // chunks after the base are cut off, so the next checkpoint appends
+        // cleanly; the newest WAL is created if missing and loses its torn
+        // tail.
+        if manifest_scan.torn {
+            self.storage.truncate(MANIFEST, manifest_scan.valid_len)?;
+            self.sync(MANIFEST)?;
         }
-        let bytes = self.storage.read(&self.wal)?;
-        let scan = scan_records(&bytes);
-        for payload in &scan.payloads {
-            let (house, epoch, series) = decode_segment(payload)?;
-            self.store.append_epoch(house, epoch, &series)?;
-            report.replayed += 1;
+        if let Some(len) = log_cut {
+            self.storage.truncate(CKPT_LOG, len)?;
+            self.sync(CKPT_LOG)?;
         }
-        if scan.torn {
-            report.discarded += 1;
-            self.stats.torn_records_dropped += 1;
-            self.storage.truncate(&self.wal, scan.valid_len)?;
-            self.sync_wal()?;
+        self.wal = wal_name(newest);
+        match newest_wal {
+            None => {
+                self.storage.open(&self.wal)?;
+                self.sync_dir()?;
+            }
+            Some((true, valid_len)) => {
+                report.discarded += 1;
+                self.stats.torn_records_dropped += 1;
+                self.storage.truncate(&self.wal, valid_len)?;
+                self.sync_wal()?;
+            }
+            Some((false, _)) => {}
         }
+        report.generation = base_gen;
+        self.newest_gen = newest;
+        self.base_gen = base_gen;
+        self.checkpointed = checkpointed;
+        self.retained = generations
+            .into_iter()
+            .filter(|&g| self.storage.exists(&wal_name(g)) || self.storage.exists(&ckpt_name(g)))
+            .collect();
+        self.store = store;
         self.stats.replayed_records = report.replayed;
         self.durable_records = self.store.stats().segments_written;
         Ok(report)
+    }
+
+    /// The full store image an earlier build checkpointed at `generation`.
+    fn read_image(&mut self, generation: u64) -> Result<SegmentStore> {
+        let name = ckpt_name(generation);
+        let image = self.storage.read(&name)?;
+        SegmentStore::from_bytes(&image).map_err(|e| Error::Io(format!("{name}: {e}")))
     }
 
     fn sync(&mut self, file: &str) -> Result<()> {
@@ -953,11 +1126,11 @@ impl<S: Storage> DurableStore<S> {
         Ok(())
     }
 
-    /// Takes an atomic checkpoint: commits the WAL, writes the store image
-    /// (CRC32-footed by [`SegmentStore::to_bytes`]) to a temp file, syncs,
-    /// renames into place, syncs the directory, appends the new generation
-    /// to the manifest, and only then starts a fresh WAL and drops the old
-    /// one.
+    /// Takes a checkpoint: commits the WAL, appends a chunk holding the
+    /// segments stored since the previous checkpoint to `ckpt.log` and
+    /// syncs it, appends the new generation to the manifest and syncs it
+    /// (the commit point), and only then starts a fresh WAL and drops the
+    /// WALs and full images older than the previous checkpoint.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.commit()?;
         let result = self.checkpoint_inner();
@@ -969,30 +1142,52 @@ impl<S: Storage> DurableStore<S> {
 
     fn checkpoint_inner(&mut self) -> Result<()> {
         let generation = self.newest_gen + 1;
-        let img = self.store.to_bytes();
-        self.storage.open(CKPT_TMP)?;
-        self.storage.truncate(CKPT_TMP, 0)?;
-        self.storage.append(CKPT_TMP, &img)?;
-        self.sync(CKPT_TMP)?;
-        self.storage.rename(CKPT_TMP, &ckpt_name(generation))?;
-        self.sync_dir()?;
+        let mut chunk = vec![0; CHUNK_HEADER];
+        let (segments, arena_bytes) = self.checkpointed;
+        self.store.image_since(segments, arena_bytes, &mut chunk);
+        let image_len = (chunk.len() - CHUNK_HEADER) as u64;
+        chunk[0..8].copy_from_slice(&generation.to_le_bytes());
+        chunk[8..16].copy_from_slice(&image_len.to_le_bytes());
+        let crc = crc32(&chunk[..16]);
+        chunk[16..CHUNK_HEADER].copy_from_slice(&crc.to_le_bytes());
+        // `ckpt.log` is created at the first checkpoint, and its directory
+        // entry is durable before a manifest record depends on it.
+        let first = !self.ckpt_log_synced;
+        if first {
+            self.storage.open(CKPT_LOG)?;
+        }
+        self.storage.append(CKPT_LOG, &chunk)?;
+        self.stats.checkpoint_bytes += chunk.len() as u64;
+        self.sync(CKPT_LOG)?;
+        if first {
+            self.sync_dir()?;
+            self.ckpt_log_synced = true;
+        }
         // The manifest record is the commit point: recovery trusts the
-        // checkpoint from here on.
+        // chunk from here on.
         self.storage.append(MANIFEST, &encode_record(&generation.to_le_bytes()))?;
         self.sync(MANIFEST)?;
         self.stats.checkpoints += 1;
-        // Fresh WAL for the new generation; the old generation's WAL and
-        // the checkpoint two generations back are disposable only now.
+        // Fresh WAL for the new generation. The previous checkpoint is the
+        // fallback should this chunk go bad, so the WALs from its
+        // generation on stay; older WALs and full images go only now.
         let wal = wal_name(generation);
         self.storage.open(&wal)?;
-        self.sync_dir()?;
-        self.storage.remove(&self.wal)?;
-        if generation >= 2 {
-            self.storage.remove(&ckpt_name(generation - 2))?;
+        let floor = self.base_gen;
+        for &g in self.retained.iter().filter(|&&g| g < floor) {
+            for name in [wal_name(g), ckpt_name(g)] {
+                if self.storage.exists(&name) {
+                    self.storage.remove(&name)?;
+                }
+            }
         }
         self.sync_dir()?;
+        self.retained.retain(|&g| g >= floor);
+        self.retained.push(generation);
         self.wal = wal;
         self.newest_gen = generation;
+        self.base_gen = generation;
+        self.checkpointed = (self.store.segment_count(), self.store.arena_bytes());
         self.since_checkpoint = 0;
         Ok(())
     }
@@ -1239,6 +1434,32 @@ mod tests {
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
+    /// CRC32 one bit at a time, with no table.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_eight_bytes_a_step_matches_the_bitwise_definition() {
+        let data: Vec<u8> =
+            (0..(1u64 << 20) + 7).map(|i| crate::shard::splitmix64(i) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "start {start}, len {len}");
+            }
+        }
+        let mib = &data[3..3 + (1 << 20)];
+        assert_eq!(crc32(mib), crc32_bitwise(mib), "1 MiB");
+    }
+
     #[test]
     fn wal_record_roundtrip() {
         let s = series(7, 48);
@@ -1306,6 +1527,53 @@ mod tests {
         assert_eq!(report.discarded, 0);
     }
 
+    /// The byte range of each chunk in a `ckpt.log`, read from the
+    /// chunk headers.
+    fn chunk_spans(log: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut spans = Vec::new();
+        let mut at = 0;
+        while at < log.len() {
+            let len = u64::from_le_bytes(log[at + 8..at + 16].try_into().unwrap()) as usize;
+            spans.push(at..at + CHUNK_HEADER + len);
+            at += CHUNK_HEADER + len;
+        }
+        spans
+    }
+
+    /// Flips one bit of byte `at` of `file`.
+    fn flip(storage: &mut FaultStorage, file: &str, at: usize) {
+        let mut bytes = storage.read(file).unwrap();
+        bytes[at] ^= 0x40;
+        storage.truncate(file, 0).unwrap();
+        storage.append(file, &bytes).unwrap();
+    }
+
+    /// Ten records at one record per commit and three per checkpoint:
+    /// chunks of generations 1 to 3, record 9 in `wal-3`, and `wal-2`
+    /// kept as the fallback's.
+    fn three_checkpoints() -> (FaultStorage, DurableConfig) {
+        let config = DurableConfig::default().group_commit(1).checkpoint_every(3);
+        let (mut store, _) = DurableStore::open(FaultStorage::new(), config).unwrap();
+        for h in 0..10u64 {
+            store.append(h, &series(h, 48)).unwrap();
+        }
+        assert_eq!(store.stats().checkpoints, 3);
+        // Two at the fresh open, one per record, and three per checkpoint
+        // (chunk, manifest, directory) plus the directory sync that makes
+        // the new `ckpt.log` durable at the first.
+        assert_eq!(store.stats().fsyncs, 2 + 10 + 4 + 3 + 3);
+        (store.into_storage(), config)
+    }
+
+    /// Opens `storage` expecting a typed I/O error, and checks that the
+    /// failed recovery changed no file.
+    fn open_fails_and_changes_nothing(storage: &mut FaultStorage, config: DurableConfig) {
+        let before = format!("{storage:?}");
+        let err = DurableStore::open(&mut *storage, config).map(|_| ()).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err:?}");
+        assert_eq!(format!("{storage:?}"), before, "a failed recovery changed a file");
+    }
+
     #[test]
     fn corrupt_newest_checkpoint_falls_back_one_generation() {
         let storage = FaultStorage::new();
@@ -1314,29 +1582,102 @@ mod tests {
         for h in 0..7u64 {
             store.append(h, &series(h, 48)).unwrap();
         }
-        // Generations 1 and 2 exist; corrupt generation 2's image.
+        // Generations 1 and 2 exist; corrupt generation 2's chunk.
         let mut storage = store.into_storage();
-        let mut img = storage.read(&ckpt_name(2)).unwrap();
-        let mid = img.len() / 2;
-        img[mid] ^= 0x40;
-        storage.truncate(&ckpt_name(2), 0).unwrap();
-        storage.append(&ckpt_name(2), &img).unwrap();
+        let spans = chunk_spans(&storage.read(CKPT_LOG).unwrap());
+        assert_eq!(spans.len(), 2);
+        flip(&mut storage, CKPT_LOG, (spans[1].start + spans[1].end) / 2);
 
         let (back, report) = DurableStore::open(storage, config).unwrap();
         assert_eq!(report.generation, 1);
         assert_eq!(report.fallbacks, 1);
-        // Records 3..6 were in wal-1 (still on disk: wal disposal waits
-        // for checkpoint durability — but checkpoint 2 removed it). The
-        // fallback recovers checkpoint 1's three records.
-        assert_eq!(back.store().to_bytes(), reference_prefix(7, 3).to_bytes());
-        // The next checkpoint does not clobber the corrupt generation 2.
+        // Records 3..5 are in wal-1, which checkpoint 2 kept, and record 6
+        // is in wal-2: the fallback replays both and loses nothing.
+        assert_eq!(back.store().to_bytes(), reference_prefix(7, 7).to_bytes());
+        // Later appends go to wal-2, and the next checkpoint is generation
+        // 3, whose chunk follows generation 1's.
         let mut back = back;
         back.append(100, &series(100, 48)).unwrap();
         back.checkpoint().unwrap();
         assert_eq!(back.stats().checkpoints, 1);
+        let live = back.store().to_bytes();
         let (again, report) = DurableStore::open(back.into_storage(), config).unwrap();
         assert_eq!(report.generation, 3);
         assert!(again.store().contains_house(100));
+        assert_eq!(again.store().to_bytes(), live);
+    }
+
+    #[test]
+    fn a_bad_older_chunk_is_a_typed_error_that_changes_no_file() {
+        // The WALs a fallback to before chunk 1 or chunk 2 would replay
+        // are gone.
+        for bad in 0..2 {
+            let (mut storage, config) = three_checkpoints();
+            let spans = chunk_spans(&storage.read(CKPT_LOG).unwrap());
+            flip(&mut storage, CKPT_LOG, spans[bad].end - 1);
+            open_fails_and_changes_nothing(&mut storage, config);
+        }
+    }
+
+    #[test]
+    fn a_gap_in_the_fallback_wals_is_a_typed_error_that_changes_no_file() {
+        // The newest chunk is bad, and wal-2, which the fallback must
+        // replay before wal-3, is missing or torn.
+        let damage: [fn(&mut FaultStorage); 2] = [
+            |s| s.remove(&wal_name(2)).unwrap(),
+            |s| {
+                let len = s.read(&wal_name(2)).unwrap().len() as u64;
+                s.truncate(&wal_name(2), len - 3).unwrap();
+            },
+        ];
+        for damage in damage {
+            let (mut storage, config) = three_checkpoints();
+            let spans = chunk_spans(&storage.read(CKPT_LOG).unwrap());
+            flip(&mut storage, CKPT_LOG, spans[2].start + 3);
+            damage(&mut storage);
+            open_fails_and_changes_nothing(&mut storage, config);
+        }
+    }
+
+    #[test]
+    fn checkpoints_append_only_the_segments_since_the_last_one() {
+        let (storage, config) = three_checkpoints();
+        let (store, report) = DurableStore::open(storage, config).unwrap();
+        assert_eq!((report.generation, report.replayed, report.fallbacks), (3, 1, 0));
+        assert_eq!(store.store().to_bytes(), reference_prefix(10, 10).to_bytes());
+        let mut storage = store.into_storage();
+        let log = storage.read(CKPT_LOG).unwrap();
+        let spans = chunk_spans(&log);
+        assert_eq!(spans.len(), 3);
+        for (i, span) in spans.iter().enumerate() {
+            let generation =
+                u64::from_le_bytes(log[span.start..span.start + 8].try_into().unwrap());
+            let image = parse_image(&log[span.start + CHUNK_HEADER..span.end]).unwrap();
+            assert_eq!((generation, image.segment_count()), (i as u64 + 1, 3));
+        }
+        // Checkpoint 3 dropped wal-1, and kept wal-2 for a fallback.
+        let wals: Vec<bool> = (0..4).map(|g| storage.exists(&wal_name(g))).collect();
+        assert_eq!(wals, [false, false, true, true]);
+    }
+
+    #[test]
+    fn uncommitted_and_torn_chunks_are_cut_off() {
+        let (mut storage, config) = three_checkpoints();
+        let log = storage.read(CKPT_LOG).unwrap();
+        let last = chunk_spans(&log).pop().unwrap();
+        // A well-formed chunk of generation 4, which the manifest never
+        // listed, and half of another.
+        let mut extra = log[last].to_vec();
+        extra[..8].copy_from_slice(&4u64.to_le_bytes());
+        let crc = crc32(&extra[..16]);
+        extra[16..CHUNK_HEADER].copy_from_slice(&crc.to_le_bytes());
+        storage.append(CKPT_LOG, &extra).unwrap();
+        storage.append(CKPT_LOG, &extra[..extra.len() / 2]).unwrap();
+
+        let (store, report) = DurableStore::open(&mut storage, config).unwrap();
+        assert_eq!((report.generation, report.discarded, report.fallbacks), (3, 0, 0));
+        assert_eq!(store.store().to_bytes(), reference_prefix(10, 10).to_bytes());
+        assert_eq!(storage.read(CKPT_LOG).unwrap(), log);
     }
 
     #[test]
@@ -1582,11 +1923,11 @@ mod tests {
             }),
             ("ckpt.tmp reused for three checkpoints", |fs| {
                 for g in 1..=3u8 {
-                    fs.open(CKPT_TMP)?;
-                    fs.truncate(CKPT_TMP, 0)?;
-                    fs.append(CKPT_TMP, &image(g))?;
-                    fs.sync(CKPT_TMP)?;
-                    fs.rename(CKPT_TMP, &format!("ckpt-{g}"))?;
+                    fs.open("ckpt.tmp")?;
+                    fs.truncate("ckpt.tmp", 0)?;
+                    fs.append("ckpt.tmp", &image(g))?;
+                    fs.sync("ckpt.tmp")?;
+                    fs.rename("ckpt.tmp", &format!("ckpt-{g}"))?;
                 }
                 Ok((1..=3u8).all(|g| fs.read(&format!("ckpt-{g}")).ok() == Some(image(g))))
             }),

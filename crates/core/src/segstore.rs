@@ -734,32 +734,25 @@ impl SegmentStore {
     /// [`from_bytes`](Self::from_bytes) with a typed error instead of
     /// round-tripping silently as wrong symbols.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            (HEADER_BYTES + META_WIRE_BYTES * self.metas.len() as u64 + FOOTER_BYTES) as usize,
-        );
-        out.extend_from_slice(STORE_MAGIC);
-        out.extend_from_slice(&(self.metas.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.arena.len() as u64).to_le_bytes());
         // Serialize in index (house, start) order so the image is a pure
         // function of the stored content, not the append interleaving.
-        for &i in &self.index {
-            let m = &self.metas[i as usize];
-            out.extend_from_slice(&m.house.to_le_bytes());
-            out.extend_from_slice(&m.start.to_le_bytes());
-            out.extend_from_slice(&m.interval.to_le_bytes());
-            out.extend_from_slice(&m.count.to_le_bytes());
-            out.extend_from_slice(&m.offset.to_le_bytes());
-            out.extend_from_slice(&m.len.to_le_bytes());
-            out.extend_from_slice(&m.min_rank.to_le_bytes());
-            out.extend_from_slice(&m.max_rank.to_le_bytes());
-            out.push(m.resolution_bits);
-            // v2: the epoch goes LAST so every v1 field keeps its offset.
-            out.extend_from_slice(&m.epoch.to_le_bytes());
-        }
-        out.extend_from_slice(&self.arena);
-        let crc = crate::durable::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let metas = self.index.iter().map(|&i| &self.metas[i as usize]);
+        let mut out = Vec::new();
+        write_image(&mut out, metas, &self.arena, 0);
         out
+    }
+
+    /// Appends to `out` an image of the segments appended since the store
+    /// held `segments` segments and `arena_bytes` payload bytes: their
+    /// metas in append order, with offsets rebased to the tail of the
+    /// arena that holds their payloads. [`from_parts`](Self::from_parts)
+    /// joins such images back into one store. `(segments, arena_bytes)`
+    /// must be [`segment_count`](Self::segment_count) and
+    /// [`arena_bytes`](Self::arena_bytes) read at some earlier time.
+    pub(crate) fn image_since(&self, segments: usize, arena_bytes: u64, out: &mut Vec<u8>) {
+        let tail = &self.metas[segments..];
+        debug_assert!(tail.iter().all(|m| m.offset >= arena_bytes));
+        write_image(out, tail.iter(), &self.arena[arena_bytes as usize..], arena_bytes);
     }
 
     /// Deserializes an image produced by [`to_bytes`](Self::to_bytes).
@@ -770,89 +763,158 @@ impl SegmentStore {
     /// function reserve memory it will never fill, and bit-rot anywhere
     /// in the image is a typed [`Error::Store`], not silent corruption.
     pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        if (buf.len() as u64) < HEADER_BYTES + FOOTER_BYTES {
-            return Err(Error::Store("image too short or bad magic".to_string()));
+        Self::from_parts(&[parse_image(buf)?])
+    }
+
+    /// Joins validated images of consecutive parts of one store, in
+    /// order: each part's arena follows the previous part's, so its
+    /// offsets are rebased by the arena bytes before it. The metas and the
+    /// arena are allocated once, and the index is sorted once, at the end.
+    pub(crate) fn from_parts(parts: &[ImagePart<'_>]) -> Result<Self> {
+        let segments: usize = parts.iter().map(ImagePart::segment_count).sum();
+        if segments > u32::MAX as usize {
+            return Err(Error::Store(format!("{segments} segments exceed the u32 segment index")));
         }
-        // v1 images predate drift adaptation: same layout minus the
-        // trailing epoch in each meta, every segment at epoch 0.
-        let meta_wire = match &buf[..4] {
-            m if m == STORE_MAGIC => META_WIRE_BYTES,
-            m if m == STORE_MAGIC_V1 => META_V1_WIRE_BYTES,
-            _ => return Err(Error::Store("image too short or bad magic".to_string())),
-        };
-        // Whole-image integrity first: the CRC32 footer covers header,
-        // metas, and arena, so bit-rot anywhere fails here — before any
-        // length is trusted.
-        let (buf, footer) = buf.split_at(buf.len() - FOOTER_BYTES as usize);
-        let want = u32::from_le_bytes(footer.try_into().expect("4 bytes"));
-        let got = crate::durable::crc32(buf);
-        if got != want {
-            return Err(Error::Store(format!(
-                "image checksum mismatch: footer {want:#010x}, computed {got:#010x}"
-            )));
+        let mut store = SegmentStore::new();
+        store.metas.reserve_exact(segments);
+        store.arena.reserve_exact(parts.iter().map(|p| p.arena.len()).sum());
+        for part in parts {
+            let base = store.arena.len() as u64;
+            let metas = part.metas.chunks_exact(part.meta_wire).map(decode_meta);
+            store.metas.extend(metas.map(|m| SegmentMeta { offset: m.offset + base, ..m }));
+            store.arena.extend_from_slice(part.arena);
         }
-        let total = buf.len() as u64;
-        let meta_count = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
-        let arena_len = u64::from_le_bytes(buf[12..20].try_into().expect("8 bytes"));
-        let metas_bytes = meta_count
-            .checked_mul(meta_wire)
-            .ok_or_else(|| Error::Store(format!("meta count {meta_count} overflows")))?;
-        let announced = HEADER_BYTES
-            .checked_add(metas_bytes)
-            .and_then(|v| v.checked_add(arena_len))
-            .ok_or_else(|| Error::Store("announced image size overflows".to_string()))?;
-        if announced != total {
-            return Err(Error::Store(format!(
-                "announced {meta_count} metas + {arena_len} arena bytes = {announced} bytes, \
-                 but the image holds {total}"
-            )));
-        }
-        if meta_count > u32::MAX as u64 {
-            return Err(Error::Store(format!(
-                "meta count {meta_count} exceeds the u32 segment index"
-            )));
-        }
-        // All announced sizes reconcile with the buffer we actually hold —
-        // only now is allocation sized from them.
-        let n = usize::try_from(meta_count)
-            .map_err(|_| Error::Store(format!("meta count {meta_count} exceeds usize")))?;
-        let mut metas = Vec::with_capacity(n);
-        let mut at = HEADER_BYTES as usize;
-        for _ in 0..n {
-            let f = &buf[at..at + meta_wire as usize];
-            let m = SegmentMeta {
-                house: u64::from_le_bytes(f[0..8].try_into().expect("8 bytes")),
-                start: i64::from_le_bytes(f[8..16].try_into().expect("8 bytes")),
-                interval: i64::from_le_bytes(f[16..24].try_into().expect("8 bytes")),
-                count: u64::from_le_bytes(f[24..32].try_into().expect("8 bytes")),
-                offset: u64::from_le_bytes(f[32..40].try_into().expect("8 bytes")),
-                len: u64::from_le_bytes(f[40..48].try_into().expect("8 bytes")),
-                min_rank: u16::from_le_bytes(f[48..50].try_into().expect("2 bytes")),
-                max_rank: u16::from_le_bytes(f[50..52].try_into().expect("2 bytes")),
-                resolution_bits: f[52],
-                epoch: if meta_wire == META_WIRE_BYTES {
-                    u32::from_le_bytes(f[53..57].try_into().expect("4 bytes"))
-                } else {
-                    0
-                },
-            };
-            validate_meta(&m, arena_len)?;
-            metas.push(m);
-            at += meta_wire as usize;
-        }
-        let arena = buf[at..].to_vec();
-        let mut store =
-            SegmentStore { metas, arena, index: Vec::new(), stats: StoreStats::default() };
-        let mut index: Vec<u32> = (0..store.metas.len() as u32).collect();
+        let mut index: Vec<u32> = (0..segments as u32).collect();
         index.sort_by_key(|&i| {
             let m = &store.metas[i as usize];
             (m.house, m.start)
         });
         store.index = index;
-        store.stats.segments_written = meta_count;
+        store.stats.segments_written = store.metas.len() as u64;
         store.stats.symbols_written = store.metas.iter().map(|m| m.count).sum();
-        store.stats.packed_bytes = arena_len;
+        store.stats.packed_bytes = store.arena.len() as u64;
         Ok(store)
+    }
+}
+
+/// A validated image: its serialized metas, whose offsets are relative
+/// to its own arena, and that arena.
+pub(crate) struct ImagePart<'a> {
+    metas: &'a [u8],
+    /// Bytes per serialized meta: v1 or v2.
+    meta_wire: usize,
+    arena: &'a [u8],
+}
+
+impl ImagePart<'_> {
+    /// Segments in the image.
+    pub(crate) fn segment_count(&self) -> usize {
+        self.metas.len() / self.meta_wire
+    }
+}
+
+/// Appends to `out` the image of `metas` over `arena`, each offset less
+/// `rebase`: header, metas, arena and the CRC32 footer over the image
+/// before it.
+fn write_image<'a>(
+    out: &mut Vec<u8>,
+    metas: impl ExactSizeIterator<Item = &'a SegmentMeta>,
+    arena: &[u8],
+    rebase: u64,
+) {
+    let n = metas.len() as u64;
+    let start = out.len();
+    out.reserve((HEADER_BYTES + META_WIRE_BYTES * n + FOOTER_BYTES) as usize + arena.len());
+    out.extend_from_slice(STORE_MAGIC);
+    out.extend_from_slice(&n.to_le_bytes());
+    out.extend_from_slice(&(arena.len() as u64).to_le_bytes());
+    for m in metas {
+        out.extend_from_slice(&m.house.to_le_bytes());
+        out.extend_from_slice(&m.start.to_le_bytes());
+        out.extend_from_slice(&m.interval.to_le_bytes());
+        out.extend_from_slice(&m.count.to_le_bytes());
+        out.extend_from_slice(&(m.offset - rebase).to_le_bytes());
+        out.extend_from_slice(&m.len.to_le_bytes());
+        out.extend_from_slice(&m.min_rank.to_le_bytes());
+        out.extend_from_slice(&m.max_rank.to_le_bytes());
+        out.push(m.resolution_bits);
+        // v2: the epoch goes LAST so every v1 field keeps its offset.
+        out.extend_from_slice(&m.epoch.to_le_bytes());
+    }
+    out.extend_from_slice(arena);
+    let crc = crate::durable::crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Validates an image produced by [`write_image`] (or a v1 image) and
+/// splits it into its metas and arena; see [`SegmentStore::from_bytes`].
+pub(crate) fn parse_image(buf: &[u8]) -> Result<ImagePart<'_>> {
+    if (buf.len() as u64) < HEADER_BYTES + FOOTER_BYTES {
+        return Err(Error::Store("image too short or bad magic".to_string()));
+    }
+    // v1 images predate drift adaptation: same layout minus the
+    // trailing epoch in each meta, every segment at epoch 0.
+    let meta_wire = match &buf[..4] {
+        m if m == STORE_MAGIC => META_WIRE_BYTES,
+        m if m == STORE_MAGIC_V1 => META_V1_WIRE_BYTES,
+        _ => return Err(Error::Store("image too short or bad magic".to_string())),
+    };
+    // Whole-image integrity first: the CRC32 footer covers header,
+    // metas, and arena, so bit-rot anywhere fails here — before any
+    // length is trusted.
+    let (buf, footer) = buf.split_at(buf.len() - FOOTER_BYTES as usize);
+    let want = u32::from_le_bytes(footer.try_into().expect("4 bytes"));
+    let got = crate::durable::crc32(buf);
+    if got != want {
+        return Err(Error::Store(format!(
+            "image checksum mismatch: footer {want:#010x}, computed {got:#010x}"
+        )));
+    }
+    let total = buf.len() as u64;
+    let meta_count = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
+    let arena_len = u64::from_le_bytes(buf[12..20].try_into().expect("8 bytes"));
+    let metas_bytes = meta_count
+        .checked_mul(meta_wire)
+        .ok_or_else(|| Error::Store(format!("meta count {meta_count} overflows")))?;
+    let announced = HEADER_BYTES
+        .checked_add(metas_bytes)
+        .and_then(|v| v.checked_add(arena_len))
+        .ok_or_else(|| Error::Store("announced image size overflows".to_string()))?;
+    if announced != total {
+        return Err(Error::Store(format!(
+            "announced {meta_count} metas + {arena_len} arena bytes = {announced} bytes, \
+             but the image holds {total}"
+        )));
+    }
+    if meta_count > u32::MAX as u64 {
+        return Err(Error::Store(format!("meta count {meta_count} exceeds the u32 segment index")));
+    }
+    // All announced sizes reconcile with the buffer we actually hold, so
+    // the slices below are in bounds; nothing is allocated from them here.
+    let (metas, arena) = buf[HEADER_BYTES as usize..].split_at(metas_bytes as usize);
+    for f in metas.chunks_exact(meta_wire as usize) {
+        validate_meta(&decode_meta(f), arena_len)?;
+    }
+    Ok(ImagePart { metas, meta_wire: meta_wire as usize, arena })
+}
+
+/// Decodes one serialized meta; a v1 meta (no trailing epoch) is at
+/// epoch 0.
+fn decode_meta(f: &[u8]) -> SegmentMeta {
+    SegmentMeta {
+        house: u64::from_le_bytes(f[0..8].try_into().expect("8 bytes")),
+        start: i64::from_le_bytes(f[8..16].try_into().expect("8 bytes")),
+        interval: i64::from_le_bytes(f[16..24].try_into().expect("8 bytes")),
+        count: u64::from_le_bytes(f[24..32].try_into().expect("8 bytes")),
+        offset: u64::from_le_bytes(f[32..40].try_into().expect("8 bytes")),
+        len: u64::from_le_bytes(f[40..48].try_into().expect("8 bytes")),
+        min_rank: u16::from_le_bytes(f[48..50].try_into().expect("2 bytes")),
+        max_rank: u16::from_le_bytes(f[50..52].try_into().expect("2 bytes")),
+        resolution_bits: f[52],
+        epoch: match f.get(53..57) {
+            Some(epoch) => u32::from_le_bytes(epoch.try_into().expect("4 bytes")),
+            None => 0,
+        },
     }
 }
 

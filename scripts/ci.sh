@@ -4,7 +4,7 @@
 #   scripts/ci.sh          # everything: fmt, clippy, tier-1, full suite
 #   scripts/ci.sh --quick  # skip the full --workspace test pass; run
 #                          # sms-core's unit and integration tests in its
-#                          # place
+#                          # place, and perfbench's tests in both modes
 #
 # Tier-1 (the must-stay-green contract, see README "Tests and benches"):
 #   cargo build --release && cargo test -q
@@ -129,13 +129,16 @@ if [[ $quick -eq 0 ]]; then
     grep -q 'topology combos byte-identical' "$metrics_tmp/drift.out"
     cargo run -q --release -p sms-bench --bin repro -- \
         validate-metrics "$metrics_tmp/drift.out"
-
-    echo "==> benchmark: perfbench's own tests, smoke runs of every workload (release)"
-    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 else
     echo "==> sms-core unit + integration tests: cargo test -q -p sms-core --lib --tests"
     cargo test -q -p sms-core --lib --tests
 fi
+
+# Both modes: fleet_backfill's smoke is the one test that recovers a
+# four-shard fleet from real files through several checkpoints per shard
+# and compares the images byte for byte.
+echo "==> benchmark: perfbench's own tests, smoke runs of every workload (release)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> docs freshness: README/DESIGN.md vs sms_core public modules"
 scripts/check_module_docs.sh
