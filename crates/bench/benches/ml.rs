@@ -2,8 +2,8 @@
 //! split search vs the legacy per-node sort, on numeric (raw day-vector
 //! style) and nominal (symbolic day-vector style) datasets.
 //!
-//! Unlike the criterion-based benches, this harness computes its medians
-//! directly so it can emit a machine-readable summary: set `BENCH_ML_OUT`
+//! The harness computes its medians directly so it can emit a
+//! machine-readable summary: set `BENCH_ML_OUT`
 //! to a path to write a `BENCH_ml.json` record, and `BENCH_ML_SMOKE=1` to
 //! run a down-scaled smoke pass (used by `scripts/ci.sh`).
 

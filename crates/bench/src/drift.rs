@@ -279,13 +279,13 @@ fn split_at(series: &TimeSeries, cut: Timestamp) -> Result<(TimeSeries, TimeSeri
 
 /// Fleet leg: run the drifted fleet through the sharded engine with its
 /// drift gate on — a pre-drift batch, then a post-drift batch — and return
-/// `(cutover houses, engine, samples_in, symbols_out)`.
+/// the cutover houses and the engine's stats over both batches.
 fn run_fleet_leg(
     fleet_pre: &[(u64, TimeSeries)],
     fleet_post: &[(u64, TimeSeries)],
     shards: usize,
     workers: usize,
-) -> Result<(u64, ShardedFleetEngine, u64, u64)> {
+) -> Result<(u64, EngineStats)> {
     let builder = CodecBuilder::new()
         .method(SeparatorMethod::Median)
         .alphabet_size(ALPHABET)?
@@ -300,9 +300,7 @@ fn run_fleet_leg(
         return Err(Error::Engine("drift gate fired on pre-drift data".into()));
     }
     let cutovers = enc_post.epochs.iter().filter(|&&e| e > 0).count() as u64;
-    let samples: u64 = fleet_pre.iter().chain(fleet_post).map(|(_, ts)| ts.len() as u64).sum();
-    let symbols: u64 = enc_pre.series.iter().chain(&enc_post.series).map(|s| s.len() as u64).sum();
-    Ok((cutovers, engine, samples, symbols))
+    Ok((cutovers, enc_post.stats))
 }
 
 /// Topology sweep: both batches re-run at {1,4,16} shards × {1,2,8} workers
@@ -408,11 +406,13 @@ pub fn run_drift(scale: crate::Scale, shards: usize, workers: usize) -> Result<D
         fleet_pre.push((r.house_id as u64, before));
         fleet_post.push((r.house_id as u64, after));
     }
-    let (fleet_cutovers, engine, samples_in, symbols_out) =
+    let (fleet_cutovers, mut stats) =
         run_fleet_leg(&fleet_pre, &fleet_post, shards.max(1), workers.max(1))?;
     let sweep_combos = sweep_topologies(&fleet_pre, &fleet_post)?;
 
-    adaptive_stats.merge(&engine.adaptive_stats());
+    // The adaptive block adds the per-house encoder leg to the engine's.
+    let adaptive = stats.adaptive.get_or_insert_with(AdaptiveStats::default);
+    adaptive.merge(&adaptive_stats);
     let static_mae = PhaseMae {
         pre: static_acc[0].mae(),
         during: static_acc[1].mae(),
@@ -424,19 +424,7 @@ pub fn run_drift(scale: crate::Scale, shards: usize, workers: usize) -> Result<D
         post: adaptive_acc[2].mae(),
     };
     let recovered = adaptive_mae.post <= adaptive_mae.pre * 1.05;
-    let rebuilds = adaptive_stats.rebuilds;
-    let epochs_shipped = adaptive_stats.epochs_shipped;
-
-    let stats = EngineStats {
-        workers: workers.max(1),
-        houses: houses as usize,
-        samples_in,
-        symbols_out,
-        shard: Some(engine.stats()),
-        pool: Some(engine.pool_stats()),
-        adaptive: Some(adaptive_stats),
-        ..EngineStats::default()
-    };
+    let (rebuilds, epochs_shipped) = (adaptive.rebuilds, adaptive.epochs_shipped);
 
     Ok(DriftReport {
         houses: houses as usize,

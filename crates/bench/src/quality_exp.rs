@@ -63,6 +63,26 @@ pub struct QualityRunReport {
 /// houses are quarantined (`non_finite` is the one defect configured to
 /// reject); every other defect is repaired in place and counted.
 pub fn run_quality(scale: Scale, faults: bool) -> Result<QualityRunReport> {
+    let (fleet, corrupted, panicking) = dirty_fleet(scale, faults)?;
+    let engine = FleetEngine::new(codec_builder()?, engine_config(scale, &panicking));
+    let enc = engine.encode_fleet(&fleet)?;
+
+    let symbols_out = enc.series.iter().map(|s| s.len() as u64).sum();
+    Ok(QualityRunReport {
+        faults,
+        houses: fleet.len(),
+        corrupted,
+        panicking,
+        symbols_out,
+        quarantined: enc.quarantined,
+        stats: enc.stats,
+    })
+}
+
+/// The fleet [`run_quality`] encodes at `scale`, with the houses it
+/// corrupted and the houses it panic-seeds (both sorted, both empty
+/// without `faults`).
+fn dirty_fleet(scale: Scale, faults: bool) -> Result<(Vec<TimeSeries>, Vec<usize>, Vec<usize>)> {
     let houses = if scale.days >= 30 { 24 } else { 12 };
     let mut fleet =
         fleet_series(scale.seed, houses as u32, scale.days.clamp(1, 7), scale.interval_secs)?;
@@ -90,7 +110,13 @@ pub fn run_quality(scale: Scale, faults: bool) -> Result<QualityRunReport> {
         let chosen = injector.pick_houses(clean.len(), 2.min(clean.len()));
         panicking = chosen.iter().map(|&i| clean[i]).collect();
     }
+    Ok((fleet, corrupted, panicking))
+}
 
+/// The engine settings of [`run_quality`]: two workers, `Isolate`, the
+/// sanitizer, three attempts per job, and a one-shot panic for each of the
+/// `panicking` houses.
+fn engine_config(scale: Scale, panicking: &[usize]) -> EngineConfig {
     // `non_finite` rejects (NaN runs are unrepairable evidence of a broken
     // sensor); everything else follows the repair-oriented defaults. Gap
     // detection is armed at the sampling interval itself, so deleting even
@@ -106,22 +132,11 @@ pub fn run_quality(scale: Scale, faults: bool) -> Result<QualityRunReport> {
         config = config
             .chaos(PanicPlan { houses: panicking.iter().copied().collect(), panics_per_job: 1 });
     }
+    config
+}
 
-    let builder =
-        CodecBuilder::new().method(SeparatorMethod::Median).alphabet_size(16)?.window_secs(3600);
-    let engine = FleetEngine::new(builder, config);
-    let enc = engine.encode_fleet(&fleet)?;
-
-    let symbols_out = enc.series.iter().map(|s| s.len() as u64).sum();
-    Ok(QualityRunReport {
-        faults,
-        houses,
-        corrupted,
-        panicking,
-        symbols_out,
-        quarantined: enc.quarantined,
-        stats: enc.stats,
-    })
+fn codec_builder() -> Result<CodecBuilder> {
+    Ok(CodecBuilder::new().method(SeparatorMethod::Median).alphabet_size(16)?.window_secs(3600))
 }
 
 /// Human-readable summary printed by `repro quality`.
@@ -175,6 +190,7 @@ pub fn seeded_dirty_houses(seed: u64, houses: usize) -> BTreeSet<usize> {
 mod tests {
     use super::*;
     use sms_core::engine::QuarantineReason;
+    use sms_core::shard::{ShardedEngineConfig, ShardedFleetEngine};
 
     #[test]
     fn clean_run_has_zero_defects_and_no_quarantine() {
@@ -229,6 +245,48 @@ mod tests {
         let rendered = render_quality(&r);
         assert!(rendered.contains("faults: on"));
         assert!(rendered.contains("panics caught"));
+    }
+
+    /// The sharded engine runs `repro quality --faults`' dirty fleet under
+    /// the same sanitizer, retries and chaos plan: every topology returns
+    /// the front's series, quarantine list, epochs and quality counters.
+    #[test]
+    fn sharded_engine_matches_the_front_on_the_dirty_fleet_at_every_topology() {
+        let mut scale = Scale::quick();
+        scale.days = 2;
+        let (fleet, corrupted, panicking) = dirty_fleet(scale, true).unwrap();
+        assert!(!corrupted.is_empty());
+        assert_eq!(panicking.len(), 2);
+        let config = engine_config(scale, &panicking);
+        let front = FleetEngine::new(codec_builder().unwrap(), config.clone())
+            .encode_fleet(&fleet)
+            .unwrap();
+        assert!(!front.quarantined.is_empty());
+        let without_secs = |stats: &EngineStats| {
+            let mut q = stats.quality.expect("the sanitizer ran");
+            q.sanitize_secs = 0.0;
+            q
+        };
+
+        let batch: Vec<(u64, TimeSeries)> =
+            fleet.iter().enumerate().map(|(i, ts)| (i as u64, ts.clone())).collect();
+        for shards in [1usize, 4, 16] {
+            for workers in [1usize, 2, 8] {
+                let engine = EngineConfig { workers, ..config.clone() };
+                let sharded = ShardedEngineConfig { shards, engine, ..Default::default() };
+                let enc = ShardedFleetEngine::new(codec_builder().unwrap(), sharded)
+                    .unwrap()
+                    .encode_batch(&batch)
+                    .unwrap();
+                let at = format!("{shards} shards x {workers} workers");
+                assert_eq!(enc.series, front.series, "{at}");
+                assert_eq!(enc.quarantined, front.quarantined, "{at}");
+                assert_eq!(enc.epochs, front.epochs, "{at}");
+                assert_eq!(without_secs(&enc.stats), without_secs(&front.stats), "{at}");
+                let pool = enc.stats.pool.expect("pool block");
+                assert_eq!((pool.panics, pool.retries, pool.gave_up), (2, 2, 0), "{at}");
+            }
+        }
     }
 
     #[test]

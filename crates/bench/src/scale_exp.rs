@@ -212,24 +212,23 @@ fn codec_builder() -> Result<CodecBuilder, Error> {
     Ok(CodecBuilder::new().method(SeparatorMethod::Median).alphabet_size(16)?.no_aggregation())
 }
 
-/// Streams `houses` houses through a sharded engine into a fresh store.
+/// Streams `houses` houses through a sharded engine into a fresh store,
+/// returning the engine's stats over every batch and the store.
 fn encode_into_store(
     seed: u64,
     houses: usize,
     config: ShardedEngineConfig,
-) -> Result<(ShardedFleetEngine, SegmentStore, u64), Error> {
+) -> Result<(EngineStats, SegmentStore), Error> {
     let mut engine = ShardedFleetEngine::new(codec_builder()?, config)?;
+    let mut stats = EngineStats::default();
     let mut store = SegmentStore::new();
-    let mut samples = 0u64;
     let mut chunk: Vec<(u64, TimeSeries)> = Vec::with_capacity(CHUNK);
     let mut next = 0usize;
     while next < houses {
         chunk.clear();
         let end = (next + CHUNK).min(houses);
         for h in next..end {
-            let ts = house_series(seed, h as u64);
-            samples += ts.len() as u64;
-            chunk.push((h as u64, ts));
+            chunk.push((h as u64, house_series(seed, h as u64)));
         }
         let enc = engine.encode_batch(&chunk)?;
         if let Some(q) = enc.quarantined.first() {
@@ -241,9 +240,10 @@ fn encode_into_store(
         for (i, s) in enc.series.iter().enumerate() {
             store.append(chunk[i].0, s)?;
         }
+        stats = enc.stats;
         next = end;
     }
-    Ok((engine, store, samples))
+    Ok((stats, store))
 }
 
 /// Runs the full experiment at `scale.houses` houses. `shards`/`workers`
@@ -254,8 +254,9 @@ pub fn run_scale(scale: Scale, shards: usize, workers: usize) -> Result<ScaleRep
     let config = ShardedEngineConfig::with_shards(shards.max(1)).workers(workers.max(1));
 
     let t0 = Instant::now();
-    let (engine, mut store, samples) = encode_into_store(scale.seed, houses, config)?;
+    let (mut stats, mut store) = encode_into_store(scale.seed, houses, config)?;
     let encode_secs = t0.elapsed().as_secs_f64();
+    let samples = stats.samples_in;
     let recompression = store.recompress()?;
 
     // --- query set: latency + identity against the serial codec ---------
@@ -326,7 +327,7 @@ pub fn run_scale(scale: Scale, shards: usize, workers: usize) -> Result<ScaleRep
     for sweep_shards in [1usize, 4, 16] {
         for sweep_workers in [1usize, 2, 8] {
             let cfg = ShardedEngineConfig::with_shards(sweep_shards).workers(sweep_workers);
-            let (_, sweep_store, _) = encode_into_store(scale.seed, sweep_houses, cfg)?;
+            let (_, sweep_store) = encode_into_store(scale.seed, sweep_houses, cfg)?;
             let image = sweep_store.to_bytes();
             match &reference {
                 None => reference = Some(image),
@@ -343,20 +344,7 @@ pub fn run_scale(scale: Scale, shards: usize, workers: usize) -> Result<ScaleRep
     }
 
     let store_stats = store.stats();
-    let mut stats = EngineStats {
-        workers,
-        houses,
-        samples_in: samples,
-        symbols_out: store_stats.symbols_written,
-        encode_secs,
-        shard: Some(engine.stats()),
-        store: Some(store_stats),
-        pool: Some(engine.pool_stats()),
-        ..EngineStats::default()
-    };
-    for s in store.segments().iter().take(houses) {
-        stats.house_symbols.observe(s.count);
-    }
+    stats.store = Some(store_stats);
 
     Ok(ScaleReport {
         houses,

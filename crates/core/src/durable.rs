@@ -590,6 +590,20 @@ struct ChunkChain<'a> {
     valid_len: u64,
 }
 
+/// The generation and length of the chunk at the head of `buf`, when its
+/// header checks out and its image fits in `buf`.
+fn chunk_frame(buf: &[u8]) -> Option<(u64, usize)> {
+    let header = buf.get(..CHUNK_HEADER)?;
+    let generation = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
+    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    let crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
+    if crc32(&header[..16]) != crc {
+        return None;
+    }
+    let end = usize::try_from(len).ok()?.checked_add(CHUNK_HEADER)?;
+    (end <= buf.len()).then_some((generation, end))
+}
+
 /// Scans `buf` chunk by chunk, stopping (never panicking) at the first
 /// chunk whose header or image fails its checksum or its checks, whose
 /// generation does not rise, or whose generation is above `newest`, the
@@ -597,30 +611,33 @@ struct ChunkChain<'a> {
 fn scan_chunks(buf: &[u8], newest: u64) -> ChunkChain<'_> {
     let mut chain = ChunkChain { parts: Vec::new(), generation: 0, valid_len: 0 };
     let mut at = 0usize;
-    while buf.len() - at >= CHUNK_HEADER {
-        let header = &buf[at..at + CHUNK_HEADER];
-        let generation = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-        if crc32(&header[..16]) != crc || generation <= chain.generation || generation > newest {
+    while let Some((generation, len)) = chunk_frame(&buf[at..]) {
+        if generation <= chain.generation || generation > newest {
             break;
         }
-        let Some(end) = usize::try_from(len)
-            .ok()
-            .and_then(|len| (at + CHUNK_HEADER).checked_add(len))
-            .filter(|&end| end <= buf.len())
-        else {
-            break;
-        };
-        let Ok(part) = parse_image(&buf[at + CHUNK_HEADER..end]) else {
+        let Ok(part) = parse_image(&buf[at + CHUNK_HEADER..at + len]) else {
             break;
         };
         chain.parts.push(part);
         chain.generation = generation;
-        chain.valid_len = end as u64;
-        at = end;
+        at += len;
+        chain.valid_len = at as u64;
     }
     chain
+}
+
+/// The uncommitted and torn chunks in `tail`, the bytes of [`CKPT_LOG`]
+/// after its committed chain: one per chunk whose header checks out, whose
+/// image fits and whose generation is above `newest`, plus one for a
+/// remainder that is no whole chunk. A committed chunk there is corrupt,
+/// and the fallback it causes counts it instead.
+fn uncommitted_chunks(tail: &[u8], newest: u64) -> u64 {
+    let (mut count, mut at) = (0, 0);
+    while let Some((generation, len)) = chunk_frame(&tail[at..]) {
+        count += u64::from(generation > newest);
+        at += len;
+    }
+    count + u64::from(at < tail.len())
 }
 
 /// Fixed prefix of a WAL segment record:
@@ -748,6 +765,9 @@ pub struct RecoveryReport {
     /// Torn/corrupt tail records discarded from the WAL (the WAL file was
     /// truncated at the first bad record).
     pub discarded: u64,
+    /// Uncommitted or torn checkpoint chunks cut off the end of `ckpt.log`
+    /// (a corrupt committed chunk is counted in `fallbacks` instead).
+    pub chunks_discarded: u64,
     /// `1` when the newest checkpoint listed in the manifest was corrupt
     /// or missing, and the store was rebuilt from the one before it plus
     /// every WAL since.
@@ -769,6 +789,9 @@ pub struct DurableStats {
     pub fsyncs: u64,
     /// Torn/corrupt WAL tail records discarded during recovery.
     pub torn_records_dropped: u64,
+    /// Uncommitted or torn checkpoint chunks cut off `ckpt.log` during
+    /// recovery.
+    pub chunks_dropped: u64,
     /// Checkpoints committed (manifest record durable).
     pub checkpoints: u64,
     /// Bytes appended to checkpoint files (chunk headers included).
@@ -789,6 +812,8 @@ crate::telemetry::declare_metrics! {
             "Backend sync calls (WAL group commits, checkpoint/manifest/directory syncs).";
         add torn_records_dropped, "records",
             "Torn or corrupt WAL tail records discarded (and truncated away) during recovery.";
+        add chunks_dropped, "chunks",
+            "Uncommitted or torn checkpoint chunks cut off ckpt.log during recovery.";
         add checkpoints, "checkpoints",
             "Checkpoints committed (chunk appended and synced, manifest record durable).";
         add checkpoint_bytes, "bytes",
@@ -809,6 +834,7 @@ impl DurableStats {
         self.wal_bytes += other.wal_bytes;
         self.fsyncs += other.fsyncs;
         self.torn_records_dropped += other.torn_records_dropped;
+        self.chunks_dropped += other.chunks_dropped;
         self.checkpoints += other.checkpoints;
         self.checkpoint_bytes += other.checkpoint_bytes;
         self.recoveries += other.recoveries;
@@ -920,15 +946,18 @@ impl<S: Storage> DurableStore<S> {
         // checkpoint is corrupt or missing, fall back to the one before it:
         // the chunks that remain, else the newest older full image, else
         // the empty store at generation 0. `log_cut` is the length to cut
-        // `ckpt.log` back to when anything follows the base's chunks. The
-        // file's bytes are dropped before the WALs are read.
+        // `ckpt.log` back to when anything follows the base's chunks, with
+        // the count of chunks it cuts off. The file's bytes are dropped
+        // before the WALs are read.
         let (base_gen, mut store, in_log, log_cut) = {
             let log = match self.storage.exists(CKPT_LOG) {
                 true => self.storage.read(CKPT_LOG)?,
                 false => Vec::new(),
             };
             let chain = scan_chunks(&log, newest);
-            let log_cut = (log.len() as u64 > chain.valid_len).then_some(chain.valid_len);
+            let log_cut = (log.len() as u64 > chain.valid_len).then(|| {
+                (chain.valid_len, uncommitted_chunks(&log[chain.valid_len as usize..], newest))
+            });
             let (base_gen, store, in_log) = if chain.generation == newest {
                 (newest, SegmentStore::from_parts(&chain.parts)?, true)
             } else if let Some(store) =
@@ -993,7 +1022,9 @@ impl<S: Storage> DurableStore<S> {
             self.storage.truncate(MANIFEST, manifest_scan.valid_len)?;
             self.sync(MANIFEST)?;
         }
-        if let Some(len) = log_cut {
+        if let Some((len, chunks)) = log_cut {
+            report.chunks_discarded = chunks;
+            self.stats.chunks_dropped += chunks;
             self.storage.truncate(CKPT_LOG, len)?;
             self.sync(CKPT_LOG)?;
         }
@@ -1676,6 +1707,8 @@ mod tests {
 
         let (store, report) = DurableStore::open(&mut storage, config).unwrap();
         assert_eq!((report.generation, report.discarded, report.fallbacks), (3, 0, 0));
+        assert_eq!(report.chunks_discarded, 2, "the whole chunk and the torn half");
+        assert_eq!(store.stats().chunks_dropped, 2);
         assert_eq!(store.store().to_bytes(), reference_prefix(10, 10).to_bytes());
         assert_eq!(storage.read(CKPT_LOG).unwrap(), log);
     }

@@ -1,19 +1,19 @@
-//! Fleet-encoding front end: the batch API over the crate's one fleet
-//! encode loop.
+//! Fleet-encoding types and [`FleetEngine`], the one-shard front over the
+//! crate's one fleet batch path, [`ShardedFleetEngine`]'s.
 //!
 //! The paper's evaluation encodes *hundreds of households* with either a
 //! table per house (Figs. 5–6, Table 1) or one global table (Fig. 7); a
-//! serial [`SymbolicCodec`] walk over the fleet leaves most of a multi-core
-//! sensor gateway idle.
+//! serial [`SymbolicCodec`](crate::pipeline::SymbolicCodec) walk over the
+//! fleet leaves most of a multi-core sensor gateway idle.
 //!
-//! * **Batch API** — [`FleetEngine::encode_fleet`] / [`encode_fleet`]: an
-//!   optional serial sanitize pre-pass, shared-table training under
-//!   [`TableMode::Shared`], then the fleet encode loop of [`crate::shard`]
-//!   run as one shard with no table cache. Workers reuse scratch buffers
-//!   ([`SymbolicCodec::encode_into`]) and results are placed by house index,
-//!   so the output is **byte-identical to the serial codec regardless of
-//!   worker count**. [`QuarantinePolicy`] decides whether a failing house
-//!   fails the run or is quarantined.
+//! * **Batch API** — [`FleetEngine::encode_fleet`] / [`encode_fleet`] run
+//!   one batch on a one-shard engine with no table cache and no drift
+//!   detection: the optional sanitize pre-pass, shared-table training
+//!   under [`TableMode::Shared`], then the fleet encode loop of
+//!   [`crate::shard`] on the supervised pool. Results are placed by house
+//!   index, so the output is **byte-identical to the serial codec
+//!   regardless of worker count**. [`QuarantinePolicy`] decides whether a
+//!   failing house fails the run or is quarantined.
 //! * **Table modes** — [`TableMode::PerHouse`] learns one lookup table per
 //!   household (the paper's default protocol); [`TableMode::Shared`] pools
 //!   training values across the fleet and learns a single table reused by
@@ -22,16 +22,16 @@
 //! Throughput counters ([`EngineStats`]) report samples/sec, symbols/sec and
 //! per-stage wall time, and serialize to JSON for benchmark trajectories.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::json::JsonWriter;
-use crate::pipeline::{CodecBuilder, SymbolicCodec};
-use crate::pool::{PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
-use crate::quality::{QualityStats, Sanitizer, SanitizerConfig};
+use crate::pipeline::CodecBuilder;
+use crate::pool::{PoolStats, RetryPolicy};
+use crate::quality::{QualityStats, SanitizerConfig};
+use crate::shard::{ShardedEngineConfig, ShardedFleetEngine};
 use crate::telemetry::{Log2Histogram, Registry, SpanSnapshot};
 use crate::timeseries::TimeSeries;
 
@@ -43,15 +43,16 @@ pub enum TableMode {
     /// `builder.train(house)` per house.
     #[default]
     PerHouse,
-    /// Pool training values across all households, learn **one** table, and
-    /// reuse it for every house (the global table of Fig. 7). Training cost
-    /// is paid once instead of per house.
+    /// Pool training values across the households of the first batch,
+    /// learn **one** table, and reuse it for every house of every batch
+    /// (the global table of Fig. 7). Training cost is paid once instead of
+    /// per house.
     Shared,
 }
 
-/// How [`FleetEngine::encode_fleet`] treats a house that cannot be encoded
-/// (its series fails sanitization, its job exhausts every retry, or the run
-/// deadline skips it).
+/// How a fleet batch treats a house that cannot be encoded (its series
+/// fails sanitization, its job exhausts every retry, or the run deadline
+/// skips it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuarantinePolicy {
     /// A sanitizer rejection fails the whole run; so does a failing encode
@@ -74,7 +75,7 @@ pub enum QuarantinePolicy {
 /// than the plan poisons.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PanicPlan {
-    /// Fleet indices of the houses whose jobs panic.
+    /// Input indices of the houses whose jobs panic.
     pub houses: BTreeSet<usize>,
     /// How many leading attempts panic for each selected house.
     pub panics_per_job: u32,
@@ -115,16 +116,19 @@ impl std::fmt::Display for QuarantineReason {
 /// One quarantined house of a fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Quarantined {
-    /// Fleet index of the house.
+    /// Input index of the house.
     pub house: usize,
     /// Why it was quarantined.
     pub reason: QuarantineReason,
 }
 
-/// Configuration of the parallel engine.
-#[derive(Debug, Clone)]
+/// Configuration of the fleet batch path: of [`FleetEngine`], and the
+/// [`engine`](crate::shard::ShardedEngineConfig::engine) part of a sharded
+/// engine's.
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Worker count, the calling thread included; `0` is treated as `1`.
+    /// Workers per pool, the calling thread included; `0` (the default)
+    /// means one per available core.
     pub workers: usize,
     /// Per-house or shared lookup tables.
     pub table_mode: TableMode,
@@ -136,26 +140,12 @@ pub struct EngineConfig {
     /// Retry schedule for panicking encode jobs (only consulted under
     /// [`QuarantinePolicy::Isolate`]; the default never retries).
     pub retry: RetryPolicy,
-    /// Per-run deadline for the supervised encode stage (only consulted
-    /// under [`QuarantinePolicy::Isolate`]).
+    /// Per-batch deadline for the supervised encode stage, across every
+    /// shard (only consulted under [`QuarantinePolicy::Isolate`]).
     pub deadline: Option<Duration>,
     /// Deterministic panic injection for robustness tests (`None` in
     /// production).
     pub chaos: Option<PanicPlan>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            table_mode: TableMode::PerHouse,
-            quarantine: QuarantinePolicy::default(),
-            sanitizer: None,
-            retry: RetryPolicy::default(),
-            deadline: None,
-            chaos: None,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -188,7 +178,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the per-run encode deadline.
+    /// Sets the per-batch encode deadline.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -201,12 +191,12 @@ impl EngineConfig {
     }
 }
 
-/// Throughput counters for one engine run.
+/// Throughput counters of a fleet engine over every batch it ran.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineStats {
-    /// Worker threads used.
+    /// Workers per pool, the calling thread included.
     pub workers: usize,
-    /// Households encoded.
+    /// Households encoded or quarantined, summed over batches.
     pub houses: usize,
     /// Raw samples consumed.
     pub samples_in: u64,
@@ -216,7 +206,8 @@ pub struct EngineStats {
     /// [`TableMode::PerHouse`] training happens inside the encode stage, so
     /// this covers only the shared-table pre-pass and is `0` there.
     pub train_secs: f64,
-    /// Wall time of the parallel encode stage, seconds.
+    /// Wall time of the encode stage (routing, cache pre-pass, the pools
+    /// and the merge), seconds.
     pub encode_secs: f64,
     /// Wire-ingest counters, when the run consumed a byte stream through
     /// [`crate::ingest`] (`None` for purely in-memory encodes).
@@ -233,7 +224,7 @@ pub struct EngineStats {
     /// through [`crate::gateway`] (`None` for in-process runs).
     pub gateway: Option<crate::gateway::GatewayStats>,
     /// Sharding counters when the run partitioned fleet state through
-    /// [`crate::shard`] (`None` for monolithic runs).
+    /// [`crate::shard`] (`None` for [`FleetEngine`]'s single shard).
     pub shard: Option<crate::shard::ShardStats>,
     /// Segment-store counters when the run persisted encoded output
     /// through [`crate::segstore`] (`None` when output stayed in memory).
@@ -256,17 +247,16 @@ pub struct EngineStats {
     /// houses never reach the encoder). Deterministic — a pure function of
     /// the input fleet, independent of worker count.
     pub encode_batch_values: Log2Histogram,
-    /// Stage-attribution spans recorded during the run
-    /// (`encode_fleet` → `sanitize` / `train` / `encode`), sorted by
-    /// path. Paths and call counts are deterministic; the seconds are
-    /// wall-clock.
+    /// Stage-attribution spans (`encode_fleet` → `sanitize` / `train` /
+    /// `encode`, one call per batch), sorted by path. Paths and call counts
+    /// are deterministic; the seconds are wall-clock.
     pub spans: Vec<SpanSnapshot>,
 }
 
 crate::telemetry::declare_metrics! {
     EngineStats as engine {
-        set workers, "threads", "Worker threads used by the fleet engine.";
-        set houses, "houses", "Households encoded in the run.";
+        set workers, "threads", "Workers per pool of the fleet engine, the calling thread included.";
+        set houses, "houses", "Households encoded or quarantined, over every batch.";
         add samples_in, "samples", "Raw samples consumed by the engine.";
         add symbols_out, "symbols", "Symbols produced by the engine.";
         set_f64 train_secs, "seconds", "Wall time of the up-front training stage.";
@@ -366,9 +356,10 @@ impl EngineStats {
     }
 }
 
-/// The result of a batch fleet encode: one symbolic series per input house
-/// (same order), plus throughput counters and (under
-/// [`QuarantinePolicy::Isolate`]) the houses that could not be encoded.
+/// The result of one fleet batch: one symbolic series per input house
+/// (same order), the separator epoch each was encoded under, throughput
+/// counters, and (under [`QuarantinePolicy::Isolate`]) the houses that
+/// could not be encoded.
 #[derive(Debug, Clone)]
 pub struct FleetEncoding {
     /// `series[i]` encodes `fleet[i]`. A quarantined house's slot holds an
@@ -379,7 +370,14 @@ pub struct FleetEncoding {
     /// Houses that failed sanitization or encoding, in index order. Empty
     /// under [`QuarantinePolicy::Strict`] (failures error out instead).
     pub quarantined: Vec<Quarantined>,
-    /// Throughput counters for the run.
+    /// `epochs[i]` is the separator epoch the `i`-th input house was
+    /// encoded under: `0` until its first drift cutover, incremented at
+    /// each confirmed rebuild, all zeros when drift detection is off. Feed
+    /// this to [`crate::segstore::SegmentStore::append_epoch`] so stored
+    /// segments record which separator generation their bits mean.
+    pub epochs: Vec<u32>,
+    /// The engine's counters over every batch it has run, this one
+    /// included.
     pub stats: EngineStats,
 }
 
@@ -390,7 +388,9 @@ impl FleetEncoding {
     }
 }
 
-/// A configured parallel encoder for fleets of household streams.
+/// A configured parallel encoder for fleets of household streams: one
+/// batch on a one-shard [`ShardedFleetEngine`] with no table cache and no
+/// drift detection.
 #[derive(Debug, Clone)]
 pub struct FleetEngine {
     builder: CodecBuilder,
@@ -416,200 +416,17 @@ impl FleetEngine {
     /// same healthy set while failing houses are reported in
     /// [`FleetEncoding::quarantined`] instead of failing the run.
     pub fn encode_fleet(&self, fleet: &[TimeSeries]) -> Result<FleetEncoding> {
-        let workers = self.config.workers.max(1);
-        let samples_in: u64 = fleet.iter().map(|h| h.len() as u64).sum();
-        // Stage spans for this run; snapshotted into `EngineStats::spans`.
-        // The paths and call counts are deterministic, only the recorded
-        // seconds are wall-clock.
-        let telemetry = Registry::new();
-        let span_run = telemetry.span("encode_fleet");
-        let mut house_samples = Log2Histogram::new();
-        for house in fleet {
-            house_samples.observe(house.len() as u64);
-        }
-
-        // Sanitization pre-pass. Deliberately serial: quarantine decisions
-        // happen before any parallelism so they are reproducible at every
-        // worker count, and the single pass is cheap next to encoding.
-        let mut quarantined: Vec<Quarantined> = Vec::new();
-        let mut quality: Option<QualityStats> = None;
-        let mut prepared: Vec<Option<Cow<'_, TimeSeries>>> = Vec::with_capacity(fleet.len());
-        if let Some(cfg) = self.config.sanitizer {
-            let _span = telemetry.span("sanitize");
-            let sanitize_start = Instant::now();
-            let sanitizer = Sanitizer::new(cfg);
-            let mut qstats = QualityStats::default();
-            for (house, series) in fleet.iter().enumerate() {
-                match sanitizer.sanitize(series) {
-                    Ok((clean, report)) => {
-                        qstats.merge_report(&report);
-                        prepared.push(Some(Cow::Owned(clean)));
-                    }
-                    Err(e) => match self.config.quarantine {
-                        QuarantinePolicy::Strict => return Err(e),
-                        QuarantinePolicy::Isolate => {
-                            qstats.houses += 1;
-                            quarantined.push(Quarantined {
-                                house,
-                                reason: QuarantineReason::DirtyData(e),
-                            });
-                            prepared.push(None);
-                        }
-                    },
-                }
-            }
-            qstats.sanitize_secs = sanitize_start.elapsed().as_secs_f64();
-            quality = Some(qstats);
-        } else {
-            prepared.extend(fleet.iter().map(|s| Some(Cow::Borrowed(s))));
-        }
-
-        // Shared-table training pools values from the surviving houses
-        // only: a quarantined house contributes nothing to the fleet table
-        // (the documented deviation from a no-fault run — its dirty values
-        // must not shape everyone else's separators).
-        let train_start = Instant::now();
-        let shared_codec = {
-            let _span = telemetry.span("train");
-            match self.config.table_mode {
-                TableMode::PerHouse => None,
-                TableMode::Shared => Some(self.train_shared(
-                    prepared.iter().filter_map(|p| p.as_ref().map(|c| c.as_ref())),
-                )?),
-            }
+        let config = ShardedEngineConfig {
+            shards: 1,
+            table_cache_capacity: 0,
+            drift: None,
+            engine: self.config.clone(),
         };
-        let train_secs = train_start.elapsed().as_secs_f64();
-
-        let encode_start = Instant::now();
-        let span_encode = telemetry.span("encode");
-        let active: Vec<usize> =
-            prepared.iter().enumerate().filter(|(_, p)| p.is_some()).map(|(i, _)| i).collect();
-        let mut encoded: Vec<Option<SymbolicSeries>> = vec![None; fleet.len()];
-        let mut pool_stats = PoolStats::default();
-        if !active.is_empty() {
-            let pool = PoolConfig::with_workers(workers);
-            let policy = match self.config.quarantine {
-                QuarantinePolicy::Strict => SupervisorPolicy::default(),
-                QuarantinePolicy::Isolate => {
-                    SupervisorPolicy { retry: self.config.retry, deadline: self.config.deadline }
-                }
-            };
-            let (results, stats) = crate::shard::encode_houses(
-                &self.builder,
-                &active,
-                |i| prepared[i].as_deref().expect("active houses are prepared"),
-                |_| shared_codec.as_ref(),
-                false,
-                &pool,
-                &policy,
-                self.config.chaos.as_ref(),
-            );
-            pool_stats = stats;
-            for (&house, result) in active.iter().zip(results) {
-                match (result, self.config.quarantine) {
-                    (Ok((s, _)), _) => encoded[house] = Some(s),
-                    // Job order is house order: the lowest failing house
-                    // decides the error.
-                    (Err(reason), QuarantinePolicy::Strict) => return Err(strict_error(reason)),
-                    (Err(reason), QuarantinePolicy::Isolate) => {
-                        quarantined.push(Quarantined { house, reason })
-                    }
-                }
-            }
-        }
-        drop(span_encode);
-        let encode_secs = encode_start.elapsed().as_secs_f64();
-
-        // Sanitize-phase and encode-phase quarantines both exist now; a
-        // single index-ordered list keeps reports deterministic.
-        quarantined.sort_by_key(|q| q.house);
-        match (&mut quality, quarantined.is_empty()) {
-            (Some(q), _) => q.quarantined = quarantined.len() as u64,
-            (None, false) => {
-                quality = Some(QualityStats {
-                    houses: fleet.len() as u64,
-                    quarantined: quarantined.len() as u64,
-                    ..QualityStats::default()
-                });
-            }
-            (None, true) => {}
-        }
-
-        // Columnar fast-path volume: every encoded house's aggregated series
-        // went through `LookupTable::encode_samples_into` as one batch, so
-        // its value count equals the house's symbol count. Observed here on
-        // the main thread (not in the workers) so the histogram is identical
-        // at every worker count.
-        let mut encode_batch_values = Log2Histogram::new();
-        for s in encoded.iter().flatten() {
-            encode_batch_values.observe(s.len() as u64);
-        }
-        // Every house without output was quarantined: its slot holds an
-        // empty placeholder so indices stay aligned with the input fleet.
-        let placeholder = SymbolicSeries::new(self.builder.resolution())?;
-        let series: Vec<SymbolicSeries> =
-            encoded.into_iter().map(|s| s.unwrap_or_else(|| placeholder.clone())).collect();
-        let symbols_out: u64 = series.iter().map(|s| s.len() as u64).sum();
-        let mut house_symbols = Log2Histogram::new();
-        for s in &series {
-            house_symbols.observe(s.len() as u64);
-        }
-        drop(span_run);
-        Ok(FleetEncoding {
-            series,
-            quarantined,
-            stats: EngineStats {
-                workers,
-                houses: fleet.len(),
-                samples_in,
-                symbols_out,
-                train_secs,
-                encode_secs,
-                ingest: None,
-                eval: None,
-                pool: if fleet.is_empty() { None } else { Some(pool_stats) },
-                quality,
-                gateway: None,
-                shard: None,
-                store: None,
-                durable: None,
-                adaptive: None,
-                house_samples,
-                house_symbols,
-                encode_batch_values,
-                spans: telemetry.span_snapshots(),
-            },
-        })
-    }
-
-    /// Pools training values across the given houses and learns one shared
-    /// codec.
-    fn train_shared<'a>(
-        &self,
-        houses: impl Iterator<Item = &'a TimeSeries>,
-    ) -> Result<SymbolicCodec> {
-        let mut pool = Vec::new();
-        for house in houses {
-            if !house.is_empty() {
-                pool.extend(self.builder.training_values(house)?);
-            }
-        }
-        self.builder.learn_from_values(&pool)
-    }
-}
-
-/// The error a [`QuarantinePolicy::Strict`] run returns for the failing
-/// house that decides it: an encode error as is, a panic as the pool's
-/// typed [`Error::Engine`] carrying the job's payload.
-fn strict_error(reason: QuarantineReason) -> Error {
-    match reason {
-        QuarantineReason::EncodeError(e) => e,
-        QuarantineReason::Panicked { message, .. } => {
-            Error::Engine(format!("pool worker panicked: {message}"))
-        }
-        // A strict run has no deadline, and dirty data fails it before the
-        // encode stage.
-        other => Error::Engine(other.to_string()),
+        let mut engine = ShardedFleetEngine::new(self.builder.clone(), config)?;
+        let mut enc = engine.encode_with(fleet.len(), |i| i as u64, |i| &fleet[i])?;
+        // One shard and no cache: there is no ring to report.
+        enc.stats.shard = None;
+        Ok(enc)
     }
 }
 

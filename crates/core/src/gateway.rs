@@ -708,9 +708,8 @@ impl Session {
             SessionState::Streaming { meter, acked } => (*meter, *acked),
             _ => return Some(CloseReason::IoError),
         };
-        // Fleet-level resource caps (or a fail-fast decode error in
-        // non-recover mode) close the connection; the shard counters and
-        // the fleet's own IngestStats record the rejection.
+        // Fleet-level resource caps close the connection; the shard
+        // counters and the fleet's own IngestStats record the rejection.
         let decoded = match shared.shards.ingest_commit(meter, bytes) {
             Some(n) => n,
             None => return Some(CloseReason::IoError),

@@ -59,11 +59,6 @@ pub struct IngestConfig {
     /// [`Error::FrameTooLarge`] (passed to the underlying
     /// [`FrameDecoder`]).
     pub max_frame_len: usize,
-    /// `true` (default): resynchronize past corrupt frames, counting them.
-    /// `false`: fail fast — the first corrupt frame aborts the stream with
-    /// its typed error (for transports with their own integrity layer,
-    /// where corruption means a software bug rather than line noise).
-    pub recover: bool,
     /// Most distinct meters a [`FleetIngest`] will create gateways for;
     /// bytes from a meter beyond the cap are rejected with
     /// [`Error::TooManyMeters`]. An id-spoofing (or misconfigured) producer
@@ -82,7 +77,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            recover: true,
             max_meters: usize::MAX,
             max_buffered_bytes: usize::MAX,
         }
@@ -93,12 +87,6 @@ impl IngestConfig {
     /// Sets the frame payload cap.
     pub fn max_frame_len(mut self, max: usize) -> Self {
         self.max_frame_len = max;
-        self
-    }
-
-    /// Sets corruption handling: recover-and-count vs fail-fast.
-    pub fn recover(mut self, recover: bool) -> Self {
-        self.recover = recover;
         self
     }
 
@@ -215,15 +203,14 @@ impl IngestStats {
 /// Per-meter ingest gateway: one untrusted byte stream in, decoded
 /// [`SensorMessage`]s and [`IngestStats`] out.
 ///
-/// With [`IngestConfig::recover`] (the default), corruption never aborts the
-/// stream: corrupt and oversized frames are counted, the decoder
-/// resynchronizes to the next plausible frame boundary, and decoding
-/// continues. The gateway also tracks the most recent lookup table the
-/// meter shipped, since every subsequent window is meaningless without it.
+/// Corruption never aborts the stream: corrupt and oversized frames are
+/// counted, the decoder resynchronizes to the next plausible frame
+/// boundary, and decoding continues. The gateway also tracks the most
+/// recent lookup table the meter shipped, since every subsequent window is
+/// meaningless without it.
 #[derive(Debug)]
 pub struct MeterIngest {
     decoder: FrameDecoder,
-    config: IngestConfig,
     stats: IngestStats,
     table: Option<LookupTable>,
     epoch: u32,
@@ -234,7 +221,6 @@ impl MeterIngest {
     pub fn new(config: IngestConfig) -> Self {
         MeterIngest {
             decoder: FrameDecoder::with_max_frame_len(config.max_frame_len),
-            config,
             stats: IngestStats::default(),
             table: None,
             epoch: 0,
@@ -244,11 +230,10 @@ impl MeterIngest {
     /// Feeds received bytes (any chunking, including mid-frame splits) and
     /// returns every message decodable so far.
     ///
-    /// In recover mode this never fails: corrupt frames increment
+    /// This never fails: corrupt frames increment
     /// [`IngestStats::frames_corrupt`] (or
     /// [`frames_oversized`](IngestStats::frames_oversized)), trigger a
-    /// counted resync, and decoding continues with the next frame. In
-    /// fail-fast mode the first error is returned as-is.
+    /// counted resync, and decoding continues with the next frame.
     pub fn ingest(&mut self, bytes: &[u8]) -> Result<Vec<SensorMessage>> {
         let t0 = Instant::now();
         self.stats.bytes_in += bytes.len() as u64;
@@ -288,10 +273,6 @@ impl MeterIngest {
                     match e {
                         Error::FrameTooLarge { .. } => self.stats.frames_oversized += 1,
                         _ => self.stats.frames_corrupt += 1,
-                    }
-                    if !self.config.recover {
-                        self.stats.decode_secs += t0.elapsed().as_secs_f64();
-                        return Err(e);
                     }
                     // `resync` always discards at least one byte, so this
                     // loop terminates within the buffered data.
@@ -510,20 +491,6 @@ mod tests {
         assert_eq!(s.frames_oversized, 1);
         assert_eq!(s.frames_ok, 4);
         assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn fail_fast_mode_propagates_typed_errors() {
-        let (_, mut wire) = stream(5);
-        wire[0] = 0x7E;
-        let mut gw = MeterIngest::new(IngestConfig::default().recover(false));
-        assert!(matches!(gw.ingest(&wire), Err(Error::WireFormat(_))));
-
-        let mut gw = MeterIngest::new(IngestConfig::default().recover(false));
-        assert!(matches!(
-            gw.ingest(&[0x02, 0xFF, 0xFF, 0xFF, 0xFF]),
-            Err(Error::FrameTooLarge { .. })
-        ));
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! * [`TableCache`] — per-shard LRU of learned [`LookupTable`]s keyed by
 //!   house, so re-encoding a house it has seen before skips the training
 //!   pass entirely.
-//! * [`ShardedFleetEngine`] — per shard: a serial cache pre-pass, the fleet
-//!   encode loop on a supervised pool ([`crate::pool`]) running the pure
-//!   train+encode jobs, then a **serial merge stage** that places results
-//!   by input index and applies cache inserts in index order.
+//! * [`ShardedFleetEngine`] — the crate's one fleet batch path: a serial
+//!   sanitize pre-pass, shared-table training and a serial drift pre-pass;
+//!   then per shard a serial cache pre-pass, the fleet encode loop on a
+//!   supervised pool ([`crate::pool`]) running the pure train+encode jobs,
+//!   and a **serial merge stage** that places results by input index and
+//!   applies cache inserts in index order; last the quarantine policy and
+//!   one [`EngineStats`] covering every batch since the engine was built.
 //!
-//! [`crate::engine::FleetEngine`] runs the same loop as one shard with no
-//! table cache, after its sanitize pre-pass and shared-table training.
+//! [`crate::engine::FleetEngine`] runs one batch of it on one shard with no
+//! table cache and no drift detection.
 //!
 //! ## Determinism contract
 //!
@@ -40,14 +43,20 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 use crate::adaptive::{check_threshold, check_window, AdaptiveStats, DriftDetector};
-use crate::engine::{PanicPlan, QuarantineReason, Quarantined};
+use crate::engine::{
+    EngineConfig, EngineStats, FleetEncoding, PanicPlan, QuarantinePolicy, QuarantineReason,
+    Quarantined, TableMode,
+};
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::lookup::LookupTable;
 use crate::pipeline::{CodecBuilder, SymbolicCodec};
-use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
+use crate::pool::{Outcome, PoolConfig, PoolStats, SupervisorPolicy};
+use crate::quality::{QualityStats, Sanitizer};
+use crate::telemetry::Registry;
 use crate::timeseries::TimeSeries;
 
 /// Virtual nodes each shard places on the consistent-hash ring. 32 keeps
@@ -269,27 +278,27 @@ crate::telemetry::declare_metrics! {
     }
 }
 
-/// Configuration of a [`ShardedFleetEngine`].
+/// Configuration of a [`ShardedFleetEngine`]: the ring, the table caches
+/// and drift detection, plus the batch path's [`EngineConfig`].
 #[derive(Debug, Clone)]
 pub struct ShardedEngineConfig {
     /// Shards on the ring.
     pub shards: usize,
-    /// Workers per shard pool, the calling thread included (`0` = one per
-    /// core). At the default of `1` a batch spawns no thread: the caller
-    /// encodes every house itself.
-    pub workers: usize,
     /// Lookup tables each shard's cache retains.
     pub table_cache_capacity: usize,
-    /// Retry schedule for panicking encode jobs.
-    pub retry: RetryPolicy,
     /// Online drift adaptation, `None` (the default) disables it. When set,
     /// a serial pre-pass feeds every house's samples into a per-house
     /// sketch-backed [`DriftDetector`]; a confirmed drift evicts the
     /// house's cached table and bumps its separator epoch, so the next
     /// encode retrains on post-drift data. The pre-pass runs on the main
     /// thread **in input order**, so the decisions — and therefore the
-    /// output bytes — are identical at any shards × workers topology.
+    /// output bytes — are identical at any shards × workers topology. It
+    /// needs [`TableMode::PerHouse`]: a shared table has no house to cut
+    /// over.
     pub drift: Option<DriftConfig>,
+    /// The batch path's settings: workers per shard pool, table mode,
+    /// quarantine policy, sanitizer, retries, deadline and chaos plan.
+    pub engine: EngineConfig,
 }
 
 /// Drift-detection policy of a sharded engine (see
@@ -311,13 +320,15 @@ impl Default for DriftConfig {
 }
 
 impl Default for ShardedEngineConfig {
+    /// 4 shards with one worker each, so a batch spawns no thread; 4096
+    /// tables cached per shard; [`QuarantinePolicy::Isolate`] with no
+    /// retry, deadline or sanitizer; no drift detection.
     fn default() -> Self {
         ShardedEngineConfig {
             shards: 4,
-            workers: 1,
             table_cache_capacity: 4096,
-            retry: RetryPolicy::default(),
             drift: None,
+            engine: EngineConfig::with_workers(1).quarantine(QuarantinePolicy::Isolate),
         }
     }
 }
@@ -328,9 +339,9 @@ impl ShardedEngineConfig {
         ShardedEngineConfig { shards, ..Self::default() }
     }
 
-    /// Sets the per-shard worker count.
+    /// Sets the per-shard worker count (`engine.workers`).
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.engine.workers = workers;
         self
     }
 
@@ -340,35 +351,11 @@ impl ShardedEngineConfig {
         self
     }
 
-    /// Sets the retry schedule for panicking encode jobs.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Enables online drift adaptation with the given policy.
     pub fn drift(mut self, drift: DriftConfig) -> Self {
         self.drift = Some(drift);
         self
     }
-}
-
-/// The result of one sharded batch: per-house series in input order plus
-/// the houses that failed.
-#[derive(Debug, Clone)]
-pub struct ShardedEncoding {
-    /// `series[i]` encodes the `i`-th input house. Failed houses hold an
-    /// empty placeholder at the codec resolution (indices stay aligned).
-    pub series: Vec<SymbolicSeries>,
-    /// Houses whose job failed, in input-index order.
-    pub quarantined: Vec<Quarantined>,
-    /// `epochs[i]` is the separator epoch the `i`-th input house was
-    /// encoded under in this batch: `0` until its first drift cutover,
-    /// incremented at each confirmed rebuild. All zeros when
-    /// [`ShardedEngineConfig::drift`] is off. Feed this to
-    /// [`crate::segstore::SegmentStore::append_epoch`] so stored segments
-    /// record which separator generation their bits mean.
-    pub epochs: Vec<u32>,
 }
 
 /// Per-house drift-tracking state of a drift-enabled sharded engine. Lives
@@ -394,8 +381,8 @@ struct HouseDrift {
     pending_since: Option<u64>,
 }
 
-/// A fleet encoder whose state is partitioned by the consistent-hash ring:
-/// per-shard table caches and per-shard supervised pools, merged
+/// The crate's fleet encoder, its state partitioned by the consistent-hash
+/// ring: per-shard table caches and per-shard supervised pools, merged
 /// deterministically.
 ///
 /// Call [`encode_batch`](Self::encode_batch) repeatedly with chunks of
@@ -406,6 +393,8 @@ struct HouseDrift {
 pub struct ShardedFleetEngine {
     builder: CodecBuilder,
     config: ShardedEngineConfig,
+    /// `config.engine.workers`, with `0` resolved to the core count.
+    workers: usize,
     router: ShardRouter,
     caches: Vec<TableCache>,
     stats: ShardStats,
@@ -413,13 +402,22 @@ pub struct ShardedFleetEngine {
     /// Per-house drift state, present only when `config.drift` is set.
     drift_state: BTreeMap<u64, HouseDrift>,
     adaptive_stats: AdaptiveStats,
+    /// The engine block's scalars and histograms over every batch.
+    totals: EngineStats,
+    /// Sanitizer and quarantine counters over every batch.
+    quality: QualityStats,
+    /// Stage spans over every batch.
+    spans: Registry,
+    /// The fleet table under [`TableMode::Shared`], learned from the first
+    /// batch.
+    shared: Option<SymbolicCodec>,
 }
 
 impl ShardedFleetEngine {
     /// An engine over `builder`'s codec with `config`'s topology.
     ///
-    /// Errors with [`Error::InvalidParameter`] on zero shards, and on a
-    /// [`DriftConfig`] that
+    /// Errors with [`Error::InvalidParameter`] on zero shards, on drift
+    /// detection under [`TableMode::Shared`], and on a [`DriftConfig`] that
     /// [`AdaptiveEncoder::new`](crate::adaptive::AdaptiveEncoder::new) would
     /// reject too: a `threshold` outside `(0, 1]` or a `window` below 2.
     pub fn new(builder: CodecBuilder, config: ShardedEngineConfig) -> Result<Self> {
@@ -427,10 +425,19 @@ impl ShardedFleetEngine {
         if let Some(drift) = config.drift {
             check_threshold(drift.threshold)?;
             check_window(drift.window)?;
+            if config.engine.table_mode == TableMode::Shared {
+                return Err(Error::InvalidParameter {
+                    name: "drift",
+                    reason: "drift detection re-learns one house's table, and \
+                             TableMode::Shared keeps one table for the fleet"
+                        .into(),
+                });
+            }
         }
         let caches =
             (0..config.shards).map(|_| TableCache::new(config.table_cache_capacity)).collect();
         Ok(ShardedFleetEngine {
+            workers: PoolConfig::with_workers(config.engine.workers).effective_workers(usize::MAX),
             builder,
             config,
             router,
@@ -439,6 +446,10 @@ impl ShardedFleetEngine {
             pool_stats: PoolStats::default(),
             drift_state: BTreeMap::new(),
             adaptive_stats: AdaptiveStats::default(),
+            totals: EngineStats::default(),
+            quality: QualityStats::default(),
+            spans: Registry::new(),
+            shared: None,
         })
     }
 
@@ -484,10 +495,14 @@ impl ShardedFleetEngine {
     /// decision here is a pure function of the per-house sample stream;
     /// nothing downstream (shard partitioning, worker scheduling) can
     /// change it, which preserves byte-identical output across topologies.
-    fn drift_prepass(&mut self, fleet: &[(u64, TimeSeries)], drift: DriftConfig) {
-        for (house, ts) in fleet {
+    fn drift_prepass<'s>(
+        &mut self,
+        houses: impl Iterator<Item = (u64, &'s TimeSeries)>,
+        drift: DriftConfig,
+    ) {
+        for (house, ts) in houses {
             let values = ts.values();
-            let state = match self.drift_state.get_mut(house) {
+            let state = match self.drift_state.get_mut(&house) {
                 Some(state) => state,
                 None => {
                     // First sight: the batch becomes the reference
@@ -500,7 +515,7 @@ impl ShardedFleetEngine {
                     };
                     self.adaptive_stats.samples += values.len() as u64;
                     self.drift_state.insert(
-                        *house,
+                        house,
                         HouseDrift {
                             detector: det,
                             epoch: 0,
@@ -556,115 +571,241 @@ impl ShardedFleetEngine {
             state.since_rebuild = 0;
             self.adaptive_stats.rebuilds += 1;
             self.adaptive_stats.epochs_shipped += 1;
-            self.caches[self.router.route(*house)].remove(*house);
+            self.caches[self.router.route(house)].remove(house);
         }
         self.adaptive_stats.sketch_bytes =
             self.drift_state.values().map(|d| d.detector.sketch_bytes() as u64).sum();
     }
 
-    /// Encodes one batch of houses. Output is byte-identical for any
-    /// `shards`/`workers` setting (see the module determinism contract);
-    /// failed houses are quarantined with an empty placeholder, matching
-    /// [`crate::engine::QuarantinePolicy::Isolate`].
-    pub fn encode_batch(&mut self, fleet: &[(u64, TimeSeries)]) -> Result<ShardedEncoding> {
-        let resolution = self.builder.resolution();
-        let mut series: Vec<Option<SymbolicSeries>> = vec![None; fleet.len()];
+    /// Encodes one batch of `(house id, series)` pairs. Output is
+    /// byte-identical for any `shards`/`workers` setting (see the module
+    /// determinism contract); [`QuarantinePolicy`] decides what a failing
+    /// house does, as in
+    /// [`FleetEngine::encode_fleet`](crate::engine::FleetEngine::encode_fleet).
+    pub fn encode_batch(&mut self, fleet: &[(u64, TimeSeries)]) -> Result<FleetEncoding> {
+        self.encode_with(fleet.len(), |i| fleet[i].0, |i| &fleet[i].1)
+    }
+
+    /// The crate's one fleet batch path, over `len` houses whose `i`-th has
+    /// id `id(i)` and series `series(i)`. In order: the serial sanitize
+    /// pre-pass, shared-table training, the serial drift pre-pass, then per
+    /// shard the cache pre-pass, [`encode_houses`] and the index-ordered
+    /// merge; last the quarantine policy, placeholders and the stats. A
+    /// house the sanitizer quarantines feeds neither the drift detector
+    /// nor the shared table. Under [`QuarantinePolicy::Strict`] the first
+    /// sanitizer rejection returns at once, before any cache or drift
+    /// state changes; an encode failure returns the lowest failing index's
+    /// error after every shard ran, keeping the cache inserts and drift
+    /// decisions of the batch.
+    pub(crate) fn encode_with<'a>(
+        &mut self,
+        len: usize,
+        id: impl Fn(usize) -> u64,
+        series: impl Fn(usize) -> &'a TimeSeries,
+    ) -> Result<FleetEncoding> {
+        let batch_start = Instant::now();
+        let strict = self.config.engine.quarantine == QuarantinePolicy::Strict;
         let mut quarantined: Vec<Quarantined> = Vec::new();
 
-        // Drift detection happens before partitioning, serially, in input
-        // order — see `drift_prepass` for why this keeps the determinism
-        // contract intact.
+        // Sanitize pre-pass. Serial, so quarantine decisions are made
+        // before any parallelism and are reproducible at every topology.
+        let prepared: Vec<Option<Cow<'a, TimeSeries>>> = match self.config.engine.sanitizer {
+            None => (0..len).map(|i| Some(Cow::Borrowed(series(i)))).collect(),
+            Some(cfg) => {
+                let sanitize_start = Instant::now();
+                let sanitizer = Sanitizer::new(cfg);
+                let mut prepared = Vec::with_capacity(len);
+                for i in 0..len {
+                    match sanitizer.sanitize(series(i)) {
+                        Ok((clean, report)) => {
+                            self.quality.merge_report(&report);
+                            prepared.push(Some(Cow::Owned(clean)));
+                        }
+                        Err(e) if strict => return Err(e),
+                        Err(e) => {
+                            self.quality.houses += 1;
+                            let reason = QuarantineReason::DirtyData(e);
+                            quarantined.push(Quarantined { house: i, reason });
+                            prepared.push(None);
+                        }
+                    }
+                }
+                let secs = sanitize_start.elapsed().as_secs_f64();
+                self.quality.sanitize_secs += secs;
+                self.spans.record_span("encode_fleet/sanitize", 1, secs);
+                prepared
+            }
+        };
+
+        // The shared table is learned once, from the first batch, and
+        // pools values from its surviving houses only: dirty values must
+        // not shape everyone else's separators.
+        let train_start = Instant::now();
+        if self.config.engine.table_mode == TableMode::Shared && self.shared.is_none() {
+            let mut values = Vec::new();
+            for house in prepared.iter().flatten().filter(|h| !h.is_empty()) {
+                values.extend(self.builder.training_values(house)?);
+            }
+            self.shared = Some(self.builder.learn_from_values(&values)?);
+        }
+        let train_secs = train_start.elapsed().as_secs_f64();
+
         if let Some(drift) = self.config.drift {
-            self.drift_prepass(fleet, drift);
+            let houses =
+                prepared.iter().enumerate().filter_map(|(i, p)| Some((id(i), p.as_deref()?)));
+            self.drift_prepass(houses, drift);
         }
 
-        // Partition input indices by ring position.
+        let encode_start = Instant::now();
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.config.shards];
-        for (i, (house, _)) in fleet.iter().enumerate() {
-            by_shard[self.router.route(*house)].push(i);
+        for i in (0..len).filter(|&i| prepared[i].is_some()) {
+            by_shard[self.router.route(id(i))].push(i);
         }
-        self.stats.houses_routed += fleet.len() as u64;
+        self.stats.houses_routed += by_shard.iter().map(Vec::len).sum::<usize>() as u64;
         let peak = by_shard.iter().map(Vec::len).max().unwrap_or(0) as u64;
         self.stats.max_shard_houses = self.stats.max_shard_houses.max(peak);
 
-        let policy = SupervisorPolicy::with_retry(self.config.retry);
-        let pool_cfg = PoolConfig::with_workers(self.config.workers);
-        let keep_tables = self.config.table_cache_capacity > 0;
-        for (shard, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
+        let engine = &self.config.engine;
+        let shared = self.shared.as_ref();
+        let pool = PoolConfig::with_workers(self.workers);
+        let mut policy = match engine.quarantine {
+            QuarantinePolicy::Strict => SupervisorPolicy::default(),
+            QuarantinePolicy::Isolate => {
+                SupervisorPolicy { retry: engine.retry, deadline: engine.deadline }
             }
+        };
+        // The deadline covers the whole encode stage: each shard's pool gets
+        // what is left of it.
+        let deadline = policy.deadline;
+        let keep_tables = shared.is_none() && self.config.table_cache_capacity > 0;
+        let mut encoded: Vec<Option<SymbolicSeries>> = vec![None; len];
+        for (shard, idxs) in by_shard.iter().enumerate().filter(|(_, idxs)| !idxs.is_empty()) {
+            policy.deadline = deadline.map(|d| d.saturating_sub(encode_start.elapsed()));
             // Serial cache pre-pass: decide per house, *before* the pool
             // runs, whether training is skipped — the pool never touches
-            // the cache, so worker scheduling cannot reorder its state.
-            let cached: Vec<Option<SymbolicCodec>> = idxs
-                .iter()
-                .map(|&i| {
-                    let table = self.caches[shard].get(fleet[i].0)?;
-                    Some(self.builder.clone().with_table(table.clone()))
-                })
-                .collect();
+            // the cache, so worker scheduling cannot reorder its state. A
+            // shared table bypasses the cache.
+            let cached: Vec<Option<SymbolicCodec>> = match shared {
+                Some(_) => Vec::new(),
+                None => idxs
+                    .iter()
+                    .map(|&i| {
+                        let table = self.caches[shard].get(id(i))?;
+                        Some(self.builder.clone().with_table(table.clone()))
+                    })
+                    .collect(),
+            };
             let (results, stats) = encode_houses(
                 &self.builder,
                 idxs,
-                |i| &fleet[i].1,
-                |j| cached[j].as_ref(),
+                |i| prepared[i].as_deref().expect("routed houses are prepared"),
+                |j| shared.or_else(|| cached[j].as_ref()),
                 keep_tables,
-                &pool_cfg,
+                &pool,
                 &policy,
-                None,
+                engine.chaos.as_ref(),
             );
 
             // Deterministic merge: placement by input index, cache inserts
-            // in index order, failures quarantined in index order.
-            let merge_t = std::time::Instant::now();
-            for (&idx, result) in idxs.iter().zip(results) {
+            // in index order, failures quarantined.
+            let merge_start = Instant::now();
+            for (&i, result) in idxs.iter().zip(results) {
                 match result {
                     Ok((s, table)) => {
                         if let Some(table) = table {
-                            self.caches[shard].insert(fleet[idx].0, table);
+                            self.caches[shard].insert(id(i), table);
                         }
-                        series[idx] = Some(s);
+                        encoded[i] = Some(s);
                     }
-                    Err(reason) => quarantined.push(Quarantined { house: idx, reason }),
+                    Err(reason) => quarantined.push(Quarantined { house: i, reason }),
                 }
             }
-            self.stats.merge_wait_secs += merge_t.elapsed().as_secs_f64();
+            self.stats.merge_wait_secs += merge_start.elapsed().as_secs_f64();
 
-            self.pool_stats.workers = self.pool_stats.workers.max(stats.workers);
-            self.pool_stats.jobs += stats.jobs;
-            self.pool_stats.queue_capacity =
-                self.pool_stats.queue_capacity.max(stats.queue_capacity);
-            self.pool_stats.max_queue_depth =
-                self.pool_stats.max_queue_depth.max(stats.max_queue_depth);
-            self.pool_stats.panics += stats.panics;
-            self.pool_stats.retries += stats.retries;
-            self.pool_stats.gave_up += stats.gave_up;
-            self.pool_stats.deadline_exceeded += stats.deadline_exceeded;
-            self.pool_stats.respawns += stats.respawns;
-            self.pool_stats.job_attempts.merge(&stats.job_attempts);
+            let p = &mut self.pool_stats;
+            p.workers = p.workers.max(stats.workers);
+            p.jobs += stats.jobs;
+            p.queue_capacity = p.queue_capacity.max(stats.queue_capacity);
+            p.max_queue_depth = p.max_queue_depth.max(stats.max_queue_depth);
+            p.panics += stats.panics;
+            p.retries += stats.retries;
+            p.gave_up += stats.gave_up;
+            p.deadline_exceeded += stats.deadline_exceeded;
+            p.respawns += stats.respawns;
+            p.job_attempts.merge(&stats.job_attempts);
         }
+        let encode_secs = encode_start.elapsed().as_secs_f64();
 
+        // Sanitize-phase and encode-phase quarantines in one index-ordered
+        // list keep reports deterministic. Under `Strict` the lowest
+        // failing house decides the error: an encode error as is, a panic
+        // as the pool's typed error (a strict batch has no deadline, and
+        // dirty data failed it above).
         quarantined.sort_by_key(|q| q.house);
-        let series = series
-            .into_iter()
-            .map(|s| match s {
-                Some(s) => Ok(s),
-                None => SymbolicSeries::new(resolution),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        if self.config.drift.is_some() {
-            self.adaptive_stats.symbols += series.iter().map(|s| s.len() as u64).sum::<u64>();
+        if strict && !quarantined.is_empty() {
+            return Err(match quarantined.remove(0).reason {
+                QuarantineReason::EncodeError(e) => e,
+                QuarantineReason::Panicked { message, .. } => {
+                    Error::Engine(format!("pool worker panicked: {message}"))
+                }
+                other => Error::Engine(other.to_string()),
+            });
         }
-        let epochs = fleet.iter().map(|(house, _)| self.house_epoch(*house)).collect();
-        Ok(ShardedEncoding { series, quarantined, epochs })
+
+        // Every house without output was quarantined: its slot holds an
+        // empty placeholder so indices stay aligned with the input. The
+        // histograms are observed here, on the calling thread, so they are
+        // identical at every worker count; an encoded house pushed its
+        // whole aggregated series through the columnar fast path, so its
+        // value count is its symbol count.
+        let placeholder = SymbolicSeries::new(self.builder.resolution())?;
+        let t = &mut self.totals;
+        for i in 0..len {
+            t.house_samples.observe(series(i).len() as u64);
+            t.samples_in += series(i).len() as u64;
+        }
+        for s in encoded.iter().flatten() {
+            t.encode_batch_values.observe(s.len() as u64);
+        }
+        let out: Vec<SymbolicSeries> =
+            encoded.into_iter().map(|s| s.unwrap_or_else(|| placeholder.clone())).collect();
+        let symbols: u64 = out.iter().map(|s| s.len() as u64).sum();
+        for s in &out {
+            t.house_symbols.observe(s.len() as u64);
+        }
+        t.houses += len;
+        t.symbols_out += symbols;
+        t.train_secs += train_secs;
+        t.encode_secs += encode_secs;
+        if self.config.engine.sanitizer.is_none() {
+            self.quality.houses += len as u64;
+        }
+        self.quality.quarantined += quarantined.len() as u64;
+        if self.config.drift.is_some() {
+            self.adaptive_stats.symbols += symbols;
+        }
+        self.spans.record_span("encode_fleet/train", 1, train_secs);
+        self.spans.record_span("encode_fleet/encode", 1, encode_secs);
+        self.spans.record_span("encode_fleet", 1, batch_start.elapsed().as_secs_f64());
+
+        let stats = EngineStats {
+            workers: self.workers,
+            pool: (self.totals.houses > 0).then_some(self.pool_stats),
+            quality: (self.config.engine.sanitizer.is_some() || self.quality.quarantined > 0)
+                .then_some(self.quality),
+            shard: Some(self.stats()),
+            adaptive: self.config.drift.map(|_| self.adaptive_stats),
+            spans: self.spans.span_snapshots(),
+            ..self.totals.clone()
+        };
+        let epochs = (0..len).map(|i| self.house_epoch(id(i))).collect();
+        Ok(FleetEncoding { series: out, quarantined, epochs, stats })
     }
 }
 
 /// One job of [`encode_houses`]: the encoded series plus the table it
 /// trained (when tables are kept), or why the house produced nothing.
-pub(crate) type HouseResult =
-    std::result::Result<(SymbolicSeries, Option<LookupTable>), QuarantineReason>;
+type HouseResult = std::result::Result<(SymbolicSeries, Option<LookupTable>), QuarantineReason>;
 
 /// The crate's fleet encode loop. Job `j` encodes input `idxs[j]`, read
 /// through `series`, on the supervised pool: with `codec(j)` when one is
@@ -675,7 +816,7 @@ pub(crate) type HouseResult =
 /// table is returned only under `keep_tables` (a cache will keep it).
 /// `chaos` panics chosen inputs above the pool's `catch_unwind`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_houses<'a>(
+fn encode_houses<'a>(
     builder: &CodecBuilder,
     idxs: &[usize],
     series: impl Fn(usize) -> &'a TimeSeries + Sync,
@@ -736,8 +877,8 @@ fn inject_chaos(plan: Option<&PanicPlan>, house: usize, attempt: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, FleetEngine};
-    use crate::telemetry::Registry;
+    use crate::engine::FleetEngine;
+    use crate::quality::SanitizerConfig;
     use crate::timeseries::TimeSeries;
 
     fn house_series(house: u64, n: usize) -> TimeSeries {
@@ -986,10 +1127,111 @@ mod tests {
     }
 
     #[test]
+    fn strict_returns_the_lowest_failing_index_at_every_topology() {
+        // Houses 5 and 30 fail training (empty series) and house 17
+        // panics on every attempt; the houses land on different shards,
+        // and the lowest index decides the error wherever it lands.
+        let mut fleet = fleet(40);
+        fleet[5].1 = TimeSeries::new();
+        fleet[30].1 = TimeSeries::new();
+        let cases = [
+            (17, Error::EmptyInput("CodecBuilder::train")),
+            (2, Error::Engine("pool worker panicked: injected fault: house 2 attempt 1".into())),
+        ];
+        for (panicking, want) in cases {
+            let chaos = PanicPlan { houses: [panicking].into(), panics_per_job: u32::MAX };
+            for shards in [1usize, 4, 16] {
+                for workers in [1usize, 2, 8] {
+                    let engine = EngineConfig::with_workers(workers)
+                        .quarantine(QuarantinePolicy::Strict)
+                        .chaos(chaos.clone());
+                    let cfg = ShardedEngineConfig { shards, engine, ..Default::default() };
+                    let err = ShardedFleetEngine::new(builder(), cfg)
+                        .unwrap()
+                        .encode_batch(&fleet)
+                        .unwrap_err();
+                    assert_eq!(err, want, "{shards} shards x {workers} workers");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drift_detection_rejects_shared_tables() {
+        let mut cfg = ShardedEngineConfig::with_shards(4).drift(DriftConfig::default());
+        cfg.engine.table_mode = TableMode::Shared;
+        assert!(matches!(
+            ShardedFleetEngine::new(builder(), cfg.clone()),
+            Err(Error::InvalidParameter { name: "drift", .. })
+        ));
+        cfg.drift = None;
+        assert!(ShardedFleetEngine::new(builder(), cfg).is_ok());
+    }
+
+    #[test]
+    fn shared_table_is_learned_once_from_the_first_batch() {
+        let (first, second) = (fleet(6), shifted_fleet(6, 500.0));
+        let mut cfg = ShardedEngineConfig::with_shards(4);
+        cfg.engine.table_mode = TableMode::Shared;
+        let mut eng = ShardedFleetEngine::new(builder(), cfg).unwrap();
+        eng.encode_batch(&first).unwrap();
+        let out = eng.encode_batch(&second).unwrap();
+        let values: Vec<f64> = first.iter().flat_map(|(_, ts)| ts.values()).collect();
+        let codec = builder().learn_from_values(&values).unwrap();
+        for ((_, ts), s) in second.iter().zip(&out.series) {
+            assert_eq!(*s, codec.encode(ts).unwrap());
+        }
+        let stats = eng.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "the cache is bypassed");
+    }
+
+    #[test]
+    fn quarantined_houses_never_reach_the_drift_detector() {
+        let mut fleet = fleet(8);
+        let mut samples = fleet[3].1.samples().to_vec();
+        samples[10].v = f64::NAN;
+        fleet[3].1 = TimeSeries::from_samples_unchecked(samples);
+        let engine = EngineConfig::with_workers(1)
+            .quarantine(QuarantinePolicy::Isolate)
+            .sanitizer(SanitizerConfig::strict());
+        let drift = Some(DriftConfig { threshold: 0.3, window: 64 });
+        let cfg = ShardedEngineConfig { engine, drift, ..Default::default() };
+        let mut eng = ShardedFleetEngine::new(builder(), cfg).unwrap();
+        let enc = eng.encode_batch(&fleet).unwrap();
+        assert_eq!(enc.quarantined.len(), 1);
+        assert!(matches!(enc.quarantined[0].reason, QuarantineReason::DirtyData(_)));
+        assert_eq!(eng.adaptive_stats().samples, 7 * 96, "seven clean houses tracked");
+        assert_eq!(eng.stats().houses_routed, 7, "the dirty house is never routed");
+    }
+
+    #[test]
+    fn engine_stats_cover_every_batch_since_new() {
+        let fleet = fleet(10);
+        let mut eng =
+            ShardedFleetEngine::new(builder(), ShardedEngineConfig::with_shards(4)).unwrap();
+        eng.encode_batch(&fleet).unwrap();
+        let stats = eng.encode_batch(&fleet).unwrap().stats;
+        assert_eq!((stats.workers, stats.houses, stats.samples_in), (1, 20, 20 * 96));
+        assert_eq!(stats.symbols_out, 20 * 96);
+        assert_eq!(stats.house_samples.count(), 20);
+        assert_eq!(stats.house_symbols.count(), 20);
+        assert_eq!(stats.encode_batch_values.sum(), 20 * 96);
+        assert_eq!(stats.pool.map(|p| p.jobs), Some(20));
+        assert_eq!(stats.shard, Some(eng.stats()));
+        assert_eq!(stats.shard.map(|s| s.cache_hits), Some(10));
+        assert!(stats.quality.is_none() && stats.adaptive.is_none());
+        let spans: Vec<(&str, u64)> = stats.spans.iter().map(|s| (&s.path[..], s.calls)).collect();
+        assert_eq!(
+            spans,
+            [("encode_fleet", 2), ("encode_fleet/encode", 2), ("encode_fleet/train", 2)]
+        );
+    }
+
+    #[test]
     fn shard_stats_register_into_catalog() {
         let stats =
             ShardStats { shards: 4, houses_routed: 100, cache_hits: 7, ..Default::default() };
-        let reg = Registry::new();
+        let reg = crate::telemetry::Registry::new();
         stats.register_into(&reg);
         let text = reg.render_prometheus();
         assert!(text.contains("sms_shard_shards 4"));

@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh          # everything: fmt, clippy, tier-1, full suite
 #   scripts/ci.sh --quick  # skip the full --workspace test pass; run
-#                          # sms-core's unit and integration tests in its
+#                          # sms-core's unit and integration tests and
+#                          # sms-bench's experiment unit tests in its
 #                          # place, and perfbench's tests in both modes
 #
 # Tier-1 (the must-stay-green contract, see README "Tests and benches"):
@@ -132,6 +133,9 @@ if [[ $quick -eq 0 ]]; then
 else
     echo "==> sms-core unit + integration tests: cargo test -q -p sms-core --lib --tests"
     cargo test -q -p sms-core --lib --tests
+
+    echo "==> experiment unit tests: cargo test -q -p sms-bench --lib"
+    cargo test -q -p sms-bench --lib
 fi
 
 # Both modes: fleet_backfill's smoke is the one test that recovers a

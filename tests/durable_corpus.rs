@@ -62,7 +62,14 @@ fn digest<S: Storage>(store: &DurableStore<S>) -> (usize, u32) {
 }
 
 fn report(generation: u64, replayed: u64, discarded: u64) -> RecoveryReport {
-    RecoveryReport { recovered: true, generation, replayed, discarded, fallbacks: 0 }
+    RecoveryReport {
+        recovered: true,
+        generation,
+        replayed,
+        discarded,
+        chunks_discarded: 0,
+        fallbacks: 0,
+    }
 }
 
 #[test]

@@ -123,6 +123,7 @@ fn populated() -> EngineStats {
             wal_bytes: 72,
             fsyncs: 73,
             torn_records_dropped: 74,
+            chunks_dropped: 740,
             checkpoints: 75,
             checkpoint_bytes: 750,
             recoveries: 76,
@@ -177,7 +178,8 @@ fn to_json_pins_every_block_byte_for_byte() {
         "\"recompressed_bytes\":67,\"reads\":68,\"truncated_reads\":69,",
         "\"segments_pruned\":70,\"query_secs\":7.5},",
         "\"durable\":{\"wal_appends\":71,\"wal_bytes\":72,\"fsyncs\":73,",
-        "\"torn_records_dropped\":74,\"checkpoints\":75,\"checkpoint_bytes\":750,",
+        "\"torn_records_dropped\":74,\"chunks_dropped\":740,\"checkpoints\":75,",
+        "\"checkpoint_bytes\":750,",
         "\"recoveries\":76,",
         "\"replayed_records\":77,\"shard_failovers\":78},",
         "\"adaptive\":{\"rebuilds\":79,\"suppressed_hysteresis\":80,",
