@@ -630,14 +630,16 @@ fn scan_chunks(buf: &[u8], newest: u64) -> ChunkChain<'_> {
 /// after its committed chain: one per chunk whose header checks out, whose
 /// image fits and whose generation is above `newest`, plus one for a
 /// remainder that is no whole chunk. A committed chunk there is corrupt,
-/// and the fallback it causes counts it instead.
-fn uncommitted_chunks(tail: &[u8], newest: u64) -> u64 {
+/// and the fallback it causes counts it instead: so when recovery `fell
+/// back`, a tail that does not even start with a whole chunk starts with
+/// that committed chunk, its header damaged, and counts nothing.
+fn uncommitted_chunks(tail: &[u8], newest: u64, fell_back: bool) -> u64 {
     let (mut count, mut at) = (0, 0);
     while let Some((generation, len)) = chunk_frame(&tail[at..]) {
         count += u64::from(generation > newest);
         at += len;
     }
-    count + u64::from(at < tail.len())
+    count + u64::from(at < tail.len() && !(fell_back && at == 0))
 }
 
 /// Fixed prefix of a WAL segment record:
@@ -766,7 +768,8 @@ pub struct RecoveryReport {
     /// truncated at the first bad record).
     pub discarded: u64,
     /// Uncommitted or torn checkpoint chunks cut off the end of `ckpt.log`
-    /// (a corrupt committed chunk is counted in `fallbacks` instead).
+    /// (a corrupt committed chunk, its header or its image damaged, is
+    /// counted in `fallbacks` instead).
     pub chunks_discarded: u64,
     /// `1` when the newest checkpoint listed in the manifest was corrupt
     /// or missing, and the store was rebuilt from the one before it plus
@@ -955,9 +958,6 @@ impl<S: Storage> DurableStore<S> {
                 false => Vec::new(),
             };
             let chain = scan_chunks(&log, newest);
-            let log_cut = (log.len() as u64 > chain.valid_len).then(|| {
-                (chain.valid_len, uncommitted_chunks(&log[chain.valid_len as usize..], newest))
-            });
             let (base_gen, store, in_log) = if chain.generation == newest {
                 (newest, SegmentStore::from_parts(&chain.parts)?, true)
             } else if let Some(store) =
@@ -975,6 +975,10 @@ impl<S: Storage> DurableStore<S> {
                     _ => (chain.generation, SegmentStore::from_parts(&chain.parts)?, true),
                 }
             };
+            let log_cut = (log.len() as u64 > chain.valid_len).then(|| {
+                let tail = &log[chain.valid_len as usize..];
+                (chain.valid_len, uncommitted_chunks(tail, newest, report.fallbacks == 1))
+            });
             (base_gen, store, in_log, log_cut)
         };
         let checkpointed =
@@ -1607,35 +1611,43 @@ mod tests {
 
     #[test]
     fn corrupt_newest_checkpoint_falls_back_one_generation() {
-        let storage = FaultStorage::new();
-        let config = DurableConfig::default().group_commit(1).checkpoint_every(3);
-        let (mut store, _) = DurableStore::open(storage, config).unwrap();
-        for h in 0..7u64 {
-            store.append(h, &series(h, 48)).unwrap();
-        }
-        // Generations 1 and 2 exist; corrupt generation 2's chunk.
-        let mut storage = store.into_storage();
-        let spans = chunk_spans(&storage.read(CKPT_LOG).unwrap());
-        assert_eq!(spans.len(), 2);
-        flip(&mut storage, CKPT_LOG, (spans[1].start + spans[1].end) / 2);
+        // Generations 1 and 2 exist; corrupt generation 2's chunk in its
+        // image, then in its header. Either way the fallback counts it,
+        // and no chunk counts as cut off.
+        let damage: [fn(std::ops::Range<usize>) -> usize; 2] =
+            [|span| (span.start + span.end) / 2, |span| span.start + 3];
+        for at in damage {
+            let storage = FaultStorage::new();
+            let config = DurableConfig::default().group_commit(1).checkpoint_every(3);
+            let (mut store, _) = DurableStore::open(storage, config).unwrap();
+            for h in 0..7u64 {
+                store.append(h, &series(h, 48)).unwrap();
+            }
+            let mut storage = store.into_storage();
+            let spans = chunk_spans(&storage.read(CKPT_LOG).unwrap());
+            assert_eq!(spans.len(), 2);
+            flip(&mut storage, CKPT_LOG, at(spans[1].clone()));
 
-        let (back, report) = DurableStore::open(storage, config).unwrap();
-        assert_eq!(report.generation, 1);
-        assert_eq!(report.fallbacks, 1);
-        // Records 3..5 are in wal-1, which checkpoint 2 kept, and record 6
-        // is in wal-2: the fallback replays both and loses nothing.
-        assert_eq!(back.store().to_bytes(), reference_prefix(7, 7).to_bytes());
-        // Later appends go to wal-2, and the next checkpoint is generation
-        // 3, whose chunk follows generation 1's.
-        let mut back = back;
-        back.append(100, &series(100, 48)).unwrap();
-        back.checkpoint().unwrap();
-        assert_eq!(back.stats().checkpoints, 1);
-        let live = back.store().to_bytes();
-        let (again, report) = DurableStore::open(back.into_storage(), config).unwrap();
-        assert_eq!(report.generation, 3);
-        assert!(again.store().contains_house(100));
-        assert_eq!(again.store().to_bytes(), live);
+            let (back, report) = DurableStore::open(storage, config).unwrap();
+            assert_eq!(report.generation, 1);
+            assert_eq!((report.fallbacks, report.chunks_discarded), (1, 0));
+            assert_eq!(back.stats().chunks_dropped, 0);
+            // Records 3..5 are in wal-1, which checkpoint 2 kept, and
+            // record 6 is in wal-2: the fallback replays both and loses
+            // nothing.
+            assert_eq!(back.store().to_bytes(), reference_prefix(7, 7).to_bytes());
+            // Later appends go to wal-2, and the next checkpoint is
+            // generation 3, whose chunk follows generation 1's.
+            let mut back = back;
+            back.append(100, &series(100, 48)).unwrap();
+            back.checkpoint().unwrap();
+            assert_eq!(back.stats().checkpoints, 1);
+            let live = back.store().to_bytes();
+            let (again, report) = DurableStore::open(back.into_storage(), config).unwrap();
+            assert_eq!(report.generation, 3);
+            assert!(again.store().contains_house(100));
+            assert_eq!(again.store().to_bytes(), live);
+        }
     }
 
     #[test]

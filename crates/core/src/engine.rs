@@ -23,7 +23,6 @@
 //! per-stage wall time, and serialize to JSON for benchmark trajectories.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
@@ -51,8 +50,7 @@ pub enum TableMode {
 }
 
 /// How a fleet batch treats a house that cannot be encoded (its series
-/// fails sanitization, its job exhausts every retry, or the run deadline
-/// skips it).
+/// fails sanitization, or its job errors or exhausts every retry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuarantinePolicy {
     /// A sanitizer rejection fails the whole run; so does a failing encode
@@ -96,8 +94,6 @@ pub enum QuarantineReason {
         /// Attempts consumed.
         attempts: u32,
     },
-    /// The run deadline elapsed before the job could start.
-    TimedOut,
 }
 
 impl std::fmt::Display for QuarantineReason {
@@ -108,7 +104,6 @@ impl std::fmt::Display for QuarantineReason {
             QuarantineReason::Panicked { message, attempts } => {
                 write!(f, "panicked after {attempts} attempt(s): {message}")
             }
-            QuarantineReason::TimedOut => write!(f, "run deadline elapsed before encode"),
         }
     }
 }
@@ -140,9 +135,6 @@ pub struct EngineConfig {
     /// Retry schedule for panicking encode jobs (only consulted under
     /// [`QuarantinePolicy::Isolate`]; the default never retries).
     pub retry: RetryPolicy,
-    /// Per-batch deadline for the supervised encode stage, across every
-    /// shard (only consulted under [`QuarantinePolicy::Isolate`]).
-    pub deadline: Option<Duration>,
     /// Deterministic panic injection for robustness tests (`None` in
     /// production).
     pub chaos: Option<PanicPlan>,
@@ -175,12 +167,6 @@ impl EngineConfig {
     /// Sets the retry schedule for panicking encode jobs.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Sets the per-batch encode deadline.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 

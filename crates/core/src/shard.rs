@@ -54,7 +54,7 @@ use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::lookup::LookupTable;
 use crate::pipeline::{CodecBuilder, SymbolicCodec};
-use crate::pool::{Outcome, PoolConfig, PoolStats, SupervisorPolicy};
+use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
 use crate::quality::{QualityStats, Sanitizer};
 use crate::telemetry::Registry;
 use crate::timeseries::TimeSeries;
@@ -297,7 +297,7 @@ pub struct ShardedEngineConfig {
     /// over.
     pub drift: Option<DriftConfig>,
     /// The batch path's settings: workers per shard pool, table mode,
-    /// quarantine policy, sanitizer, retries, deadline and chaos plan.
+    /// quarantine policy, sanitizer, retries and chaos plan.
     pub engine: EngineConfig,
 }
 
@@ -322,7 +322,7 @@ impl Default for DriftConfig {
 impl Default for ShardedEngineConfig {
     /// 4 shards with one worker each, so a batch spawns no thread; 4096
     /// tables cached per shard; [`QuarantinePolicy::Isolate`] with no
-    /// retry, deadline or sanitizer; no drift detection.
+    /// retry or sanitizer; no drift detection.
     fn default() -> Self {
         ShardedEngineConfig {
             shards: 4,
@@ -595,8 +595,10 @@ impl ShardedFleetEngine {
     /// nor the shared table. Under [`QuarantinePolicy::Strict`] the first
     /// sanitizer rejection returns at once, before any cache or drift
     /// state changes; an encode failure returns the lowest failing index's
-    /// error after every shard ran, keeping the cache inserts and drift
-    /// decisions of the batch.
+    /// error after every shard ran, keeping the batch's cache inserts and
+    /// drift decisions. Either way a failed batch adds nothing to the
+    /// counters, except those the table caches and drift detectors keep
+    /// of what it did to them.
     pub(crate) fn encode_with<'a>(
         &mut self,
         len: usize,
@@ -609,6 +611,8 @@ impl ShardedFleetEngine {
 
         // Sanitize pre-pass. Serial, so quarantine decisions are made
         // before any parallelism and are reproducible at every topology.
+        let mut reports = Vec::new();
+        let mut sanitize_secs = None;
         let prepared: Vec<Option<Cow<'a, TimeSeries>>> = match self.config.engine.sanitizer {
             None => (0..len).map(|i| Some(Cow::Borrowed(series(i)))).collect(),
             Some(cfg) => {
@@ -618,21 +622,18 @@ impl ShardedFleetEngine {
                 for i in 0..len {
                     match sanitizer.sanitize(series(i)) {
                         Ok((clean, report)) => {
-                            self.quality.merge_report(&report);
+                            reports.push(report);
                             prepared.push(Some(Cow::Owned(clean)));
                         }
                         Err(e) if strict => return Err(e),
                         Err(e) => {
-                            self.quality.houses += 1;
                             let reason = QuarantineReason::DirtyData(e);
                             quarantined.push(Quarantined { house: i, reason });
                             prepared.push(None);
                         }
                     }
                 }
-                let secs = sanitize_start.elapsed().as_secs_f64();
-                self.quality.sanitize_secs += secs;
-                self.spans.record_span("encode_fleet/sanitize", 1, secs);
+                sanitize_secs = Some(sanitize_start.elapsed().as_secs_f64());
                 prepared
             }
         };
@@ -661,26 +662,20 @@ impl ShardedFleetEngine {
         for i in (0..len).filter(|&i| prepared[i].is_some()) {
             by_shard[self.router.route(id(i))].push(i);
         }
-        self.stats.houses_routed += by_shard.iter().map(Vec::len).sum::<usize>() as u64;
-        let peak = by_shard.iter().map(Vec::len).max().unwrap_or(0) as u64;
-        self.stats.max_shard_houses = self.stats.max_shard_houses.max(peak);
 
         let engine = &self.config.engine;
         let shared = self.shared.as_ref();
         let pool = PoolConfig::with_workers(self.workers);
-        let mut policy = match engine.quarantine {
-            QuarantinePolicy::Strict => SupervisorPolicy::default(),
-            QuarantinePolicy::Isolate => {
-                SupervisorPolicy { retry: engine.retry, deadline: engine.deadline }
-            }
+        // A strict batch gives each house one attempt.
+        let retry = match engine.quarantine {
+            QuarantinePolicy::Strict => RetryPolicy::default(),
+            QuarantinePolicy::Isolate => engine.retry,
         };
-        // The deadline covers the whole encode stage: each shard's pool gets
-        // what is left of it.
-        let deadline = policy.deadline;
         let keep_tables = shared.is_none() && self.config.table_cache_capacity > 0;
         let mut encoded: Vec<Option<SymbolicSeries>> = vec![None; len];
+        let mut pool_runs = Vec::new();
+        let mut merge_secs = 0.0;
         for (shard, idxs) in by_shard.iter().enumerate().filter(|(_, idxs)| !idxs.is_empty()) {
-            policy.deadline = deadline.map(|d| d.saturating_sub(encode_start.elapsed()));
             // Serial cache pre-pass: decide per house, *before* the pool
             // runs, whether training is skipped — the pool never touches
             // the cache, so worker scheduling cannot reorder its state. A
@@ -702,9 +697,10 @@ impl ShardedFleetEngine {
                 |j| shared.or_else(|| cached[j].as_ref()),
                 keep_tables,
                 &pool,
-                &policy,
+                retry,
                 engine.chaos.as_ref(),
             );
+            pool_runs.push(stats);
 
             // Deterministic merge: placement by input index, cache inserts
             // in index order, failures quarantined.
@@ -720,8 +716,30 @@ impl ShardedFleetEngine {
                     Err(reason) => quarantined.push(Quarantined { house: i, reason }),
                 }
             }
-            self.stats.merge_wait_secs += merge_start.elapsed().as_secs_f64();
+            merge_secs += merge_start.elapsed().as_secs_f64();
+        }
+        let encode_secs = encode_start.elapsed().as_secs_f64();
 
+        // Sanitize-phase and encode-phase quarantines in one index-ordered
+        // list keep reports deterministic. Under `Strict` the lowest
+        // failing house decides the error (dirty data failed the batch
+        // above): an encode error as is, a panic as the pool's typed error.
+        quarantined.sort_by_key(|q| q.house);
+        if strict && !quarantined.is_empty() {
+            return Err(match quarantined.remove(0).reason {
+                QuarantineReason::Panicked { message, .. } => {
+                    Error::Engine(format!("pool worker panicked: {message}"))
+                }
+                QuarantineReason::EncodeError(e) | QuarantineReason::DirtyData(e) => e,
+            });
+        }
+
+        // The batch stands: fold its counters into the engine's.
+        self.stats.houses_routed += by_shard.iter().map(Vec::len).sum::<usize>() as u64;
+        let peak = by_shard.iter().map(Vec::len).max().unwrap_or(0) as u64;
+        self.stats.max_shard_houses = self.stats.max_shard_houses.max(peak);
+        self.stats.merge_wait_secs += merge_secs;
+        for stats in &pool_runs {
             let p = &mut self.pool_stats;
             p.workers = p.workers.max(stats.workers);
             p.jobs += stats.jobs;
@@ -734,22 +752,12 @@ impl ShardedFleetEngine {
             p.respawns += stats.respawns;
             p.job_attempts.merge(&stats.job_attempts);
         }
-        let encode_secs = encode_start.elapsed().as_secs_f64();
-
-        // Sanitize-phase and encode-phase quarantines in one index-ordered
-        // list keep reports deterministic. Under `Strict` the lowest
-        // failing house decides the error: an encode error as is, a panic
-        // as the pool's typed error (a strict batch has no deadline, and
-        // dirty data failed it above).
-        quarantined.sort_by_key(|q| q.house);
-        if strict && !quarantined.is_empty() {
-            return Err(match quarantined.remove(0).reason {
-                QuarantineReason::EncodeError(e) => e,
-                QuarantineReason::Panicked { message, .. } => {
-                    Error::Engine(format!("pool worker panicked: {message}"))
-                }
-                other => Error::Engine(other.to_string()),
-            });
+        for report in &reports {
+            self.quality.merge_report(report);
+        }
+        if let Some(secs) = sanitize_secs {
+            self.quality.sanitize_secs += secs;
+            self.spans.record_span("encode_fleet/sanitize", 1, secs);
         }
 
         // Every house without output was quarantined: its slot holds an
@@ -777,9 +785,10 @@ impl ShardedFleetEngine {
         t.symbols_out += symbols;
         t.train_secs += train_secs;
         t.encode_secs += encode_secs;
-        if self.config.engine.sanitizer.is_none() {
-            self.quality.houses += len as u64;
-        }
+        // `merge_report` counted the houses the sanitizer passed; the rest
+        // of the batch (its rejects, or every house when it is off) is
+        // counted here.
+        self.quality.houses += (len - reports.len()) as u64;
         self.quality.quarantined += quarantined.len() as u64;
         if self.config.drift.is_some() {
             self.adaptive_stats.symbols += symbols;
@@ -812,9 +821,11 @@ type HouseResult = std::result::Result<(SymbolicSeries, Option<LookupTable>), Qu
 /// given (a cache hit or the shared table), otherwise with a codec trained
 /// on the house itself. Each worker reuses its scratch buffers across
 /// houses through [`SymbolicCodec::encode_into`], so the output equals
-/// [`SymbolicCodec::encode`]. Results come back in job order; a trained
-/// table is returned only under `keep_tables` (a cache will keep it).
-/// `chaos` panics chosen inputs above the pool's `catch_unwind`.
+/// [`SymbolicCodec::encode`]. A panicking job is re-run as `retry`
+/// allows; no deadline is set, so none times out. Results come back in
+/// job order; a trained table is returned only under `keep_tables` (a
+/// cache will keep it). `chaos` panics chosen inputs above the pool's
+/// `catch_unwind`.
 #[allow(clippy::too_many_arguments)]
 fn encode_houses<'a>(
     builder: &CodecBuilder,
@@ -823,13 +834,13 @@ fn encode_houses<'a>(
     codec: impl Fn(usize) -> Option<&'a SymbolicCodec> + Sync,
     keep_tables: bool,
     pool: &PoolConfig,
-    policy: &SupervisorPolicy,
+    retry: RetryPolicy,
     chaos: Option<&PanicPlan>,
 ) -> (Vec<HouseResult>, PoolStats) {
     let report = crate::pool::run_indexed_supervised_with(
         idxs.len(),
         pool,
-        policy,
+        &SupervisorPolicy::with_retry(retry),
         || (TimeSeries::new(), SymbolicSeries::new(1).expect("1 bit is a valid resolution")),
         |(scratch, out), j, attempt| -> Result<(SymbolicSeries, Option<LookupTable>)> {
             inject_chaos(chaos, idxs[j], attempt);
@@ -857,7 +868,7 @@ fn encode_houses<'a>(
             Outcome::Panicked { message, attempts } => {
                 Err(QuarantineReason::Panicked { message, attempts })
             }
-            Outcome::TimedOut => Err(QuarantineReason::TimedOut),
+            Outcome::TimedOut => unreachable!("the policy sets no deadline"),
         })
         .collect();
     (results, report.stats)
@@ -1154,6 +1165,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_failed_strict_batch_adds_nothing_to_the_counters() {
+        // Input 12 panics on every attempt, so a batch of more than 12
+        // houses fails.
+        let engine = EngineConfig::with_workers(2)
+            .quarantine(QuarantinePolicy::Strict)
+            .sanitizer(SanitizerConfig::strict())
+            .chaos(PanicPlan { houses: [12].into(), panics_per_job: u32::MAX });
+        let cfg = ShardedEngineConfig { engine, ..ShardedEngineConfig::with_shards(4) };
+        let mut eng = ShardedFleetEngine::new(builder(), cfg).unwrap();
+        // A sanitizer rejection at input 3, then a panic at input 12.
+        let mut dirty = fleet(16);
+        let mut samples = dirty[3].1.samples().to_vec();
+        samples[10].v = f64::NAN;
+        dirty[3].1 = TimeSeries::from_samples_unchecked(samples);
+        assert!(matches!(eng.encode_batch(&dirty), Err(Error::DataQuality { .. })));
+        assert!(matches!(eng.encode_batch(&fleet(16)), Err(Error::Engine(_))));
+
+        let stats = eng.encode_batch(&fleet(10)).unwrap().stats;
+        assert_eq!((stats.houses, stats.samples_in), (10, 10 * 96));
+        assert_eq!(stats.pool.map(|p| (p.jobs, p.panics)), Some((10, 0)));
+        assert_eq!(stats.quality.map(|q| (q.houses, q.samples_in)), Some((10, 10 * 96)));
+        assert_eq!(stats.shard.map(|s| s.houses_routed), Some(10));
+        let spans: Vec<(&str, u64)> = stats.spans.iter().map(|s| (&s.path[..], s.calls)).collect();
+        assert_eq!(
+            spans,
+            [
+                ("encode_fleet", 1),
+                ("encode_fleet/encode", 1),
+                ("encode_fleet/sanitize", 1),
+                ("encode_fleet/train", 1)
+            ]
+        );
+        // The caches keep what the failed batch did to them: its 16
+        // lookups missed, and the tables it trained serve the clean batch.
+        let shard = stats.shard.unwrap();
+        assert_eq!((shard.cache_hits, shard.cache_misses), (10, 16));
     }
 
     #[test]
