@@ -8,7 +8,7 @@
 //! (used by `scripts/ci.sh`).
 
 use sms_bench::ingest_exp::{FaultInjector, ALL_SERIES_FAULTS};
-use sms_core::pool::{run_indexed_supervised, PoolConfig, RetryPolicy, SupervisorPolicy};
+use sms_core::pool::{run_indexed_supervised, PoolConfig, RetryPolicy};
 use sms_core::quality::{Sanitizer, SanitizerConfig};
 use sms_core::timeseries::{Sample, TimeSeries};
 use std::time::Instant;
@@ -61,7 +61,7 @@ fn main() {
 
     // Pool overhead: cheap panic-free jobs through the supervised pool.
     let config = PoolConfig::with_workers(2);
-    let policy = SupervisorPolicy::with_retry(RetryPolicy::with_max_attempts(2));
+    let policy = RetryPolicy::with_max_attempts(2);
     let work = |i: usize| -> u64 { (0..400u64).fold(i as u64, |a, x| a.wrapping_mul(31) ^ x) };
     let supervised_secs = median_secs(samples, || {
         let report = run_indexed_supervised(jobs, &config, &policy, |i, _attempt| work(i));

@@ -13,7 +13,8 @@ use meterdata::dataset::MeterDataset;
 use sms_core::alphabet::Alphabet;
 use sms_core::error::{Error, Result};
 use sms_core::lookup::{LookupTable, SymbolSemantics};
-use sms_core::separators::{learn_separators, SeparatorMethod, StreamingLearner};
+use sms_core::separators::{learn_separators, SeparatorMethod};
+use sms_core::stats::QuantileSketch;
 use sms_core::utility::{reconstruction_separators, supervised_separators};
 use sms_core::vertical::{aggregate_by_window, Aggregation};
 
@@ -136,11 +137,13 @@ pub fn run_streaming_ablation(scale: Scale) -> Result<StreamingAblation> {
     let alphabet = Alphabet::with_resolution(4)?;
 
     let exact = learn_separators(SeparatorMethod::Median, &values, 16)?;
-    let mut approx_learner = StreamingLearner::approximate(SeparatorMethod::Median, 16)?;
+    let mut sketch = QuantileSketch::with_default_capacity();
     for &v in &values {
-        approx_learner.push(v)?;
+        sketch.update(v)?;
     }
-    let approx = approx_learner.separators()?;
+    let approx = LookupTable::learn_from_sketch(SeparatorMethod::Median, alphabet, &sketch)?
+        .separators()
+        .to_vec();
 
     let range = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
         - values.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -31,7 +31,7 @@ use std::net::TcpStream;
 
 use crate::ingest_exp::FaultInjector;
 use crate::scale::Scale;
-use crate::scale_exp::{house_series, SAMPLES_PER_HOUSE};
+use crate::scale_exp::house_series;
 use sms_core::durable::{DurableConfig, DurableFleet, DurableStats, DurableStore, FaultStorage};
 use sms_core::encoder::SensorMessage;
 use sms_core::engine::EngineStats;
@@ -161,8 +161,12 @@ fn codec_builder() -> Result<CodecBuilder> {
 }
 
 /// Encodes the sweep workload once: `(house, series)` records in append
-/// order, via the sharded engine (output is worker-count independent).
-fn encode_workload(scale: Scale, workers: usize) -> Result<Vec<(u64, SymbolicSeries)>> {
+/// order, via the sharded engine (output is worker-count independent),
+/// and the batch's engine counters.
+fn encode_workload(
+    scale: Scale,
+    workers: usize,
+) -> Result<(Vec<(u64, SymbolicSeries)>, EngineStats)> {
     let config = ShardedEngineConfig::with_shards(4).workers(workers.max(1));
     let mut engine = ShardedFleetEngine::new(codec_builder()?, config)?;
     let fleet: Vec<(u64, TimeSeries)> =
@@ -174,7 +178,7 @@ fn encode_workload(scale: Scale, workers: usize) -> Result<Vec<(u64, SymbolicSer
             q.house, q.reason
         )));
     }
-    Ok(fleet.iter().map(|(h, _)| *h).zip(enc.series).collect())
+    Ok((fleet.iter().map(|(h, _)| *h).zip(enc.series).collect(), enc.stats))
 }
 
 /// Runs the full workload against `storage`, reporting how many records
@@ -477,7 +481,7 @@ fn run_gateway_leg(
 
 /// Runs the full crash experiment at `scale.houses` houses.
 pub fn run_crash(scale: Scale, shards: usize, workers: usize) -> Result<CrashReport> {
-    let records = encode_workload(scale, workers)?;
+    let (records, engine_stats) = encode_workload(scale, workers)?;
     let resolution_bits = records.first().map(|(_, s)| s.resolution_bits()).unwrap_or(1);
     let checkpoint_every = (records.len() as u64 / 3).clamp(1, CHECKPOINT_EVERY_MAX);
     let config =
@@ -530,14 +534,7 @@ pub fn run_crash(scale: Scale, shards: usize, workers: usize) -> Result<CrashRep
     // `merge` sums the failover counter like the others; the fleet is the
     // only leg that fails over, so pin it to that leg's count.
     totals.shard_failovers = shard_failovers;
-    let stats = EngineStats {
-        workers: workers.max(1),
-        houses: scale.houses,
-        samples_in: (scale.houses * SAMPLES_PER_HOUSE) as u64,
-        symbols_out: records.iter().map(|(_, s)| s.len() as u64).sum(),
-        durable: Some(totals),
-        ..EngineStats::default()
-    };
+    let stats = EngineStats { durable: Some(totals), ..engine_stats };
 
     Ok(CrashReport {
         houses: scale.houses,
@@ -575,6 +572,11 @@ mod tests {
         assert!(d.shard_failovers >= 1);
         assert!(d.torn_records_dropped > 0, "the sweep must hit torn tails");
         assert!(d.checkpoints > 0, "the sweep must cross checkpoints");
+        // The engine block is the workload batch's own.
+        let e = &report.stats;
+        assert_eq!((e.houses, e.house_samples.count(), e.house_symbols.count()), (24, 24, 24));
+        assert_eq!(e.house_samples.sum(), e.samples_in);
+        assert!(e.spans.iter().any(|s| s.path == "encode_fleet"));
         let json = report.to_json();
         let doc = sms_core::json::parse(&json).unwrap();
         assert_eq!(doc.get("records").and_then(|v| v.as_u64()), Some(24));

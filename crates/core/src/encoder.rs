@@ -5,13 +5,17 @@
 //!
 //! [`OnlineEncoder`] turns a stream of raw samples into a stream of symbols
 //! one window at a time; [`SensorPipeline`] adds the training phase and the
-//! wire protocol ([`SensorMessage`]).
+//! wire protocol ([`SensorMessage`]). The pipeline buffers its training
+//! samples, which it must replay through the encoder anyway, and learns its
+//! table from them with [`LookupTable::learn`] when training ends, so a
+//! sensor's table is the one the batch path learns from the same values.
 
 use crate::alphabet::Alphabet;
 use crate::error::{Error, Result};
 use crate::json::{self, JsonValue, JsonWriter};
 use crate::lookup::LookupTable;
-use crate::separators::{SeparatorMethod, StreamingLearner};
+use crate::separators::SeparatorMethod;
+use crate::stats::FiniteF64;
 use crate::symbol::Symbol;
 use crate::timeseries::Timestamp;
 use crate::vertical::Aggregation;
@@ -285,9 +289,9 @@ impl SensorMessage {
 
 /// Sensor-side state machine implementing the paper's full protocol:
 /// 1. **Training**: buffer `train_duration` seconds of raw samples (the paper
-///    uses the first two days) into a [`StreamingLearner`];
-/// 2. **Table emission**: learn separators, build the table, emit
-///    [`SensorMessage::Table`];
+///    uses the first two days); a non-finite training sample is an error;
+/// 2. **Table emission**: learn the table from the buffered values with
+///    [`LookupTable::learn`], emit [`SensorMessage::Table`];
 /// 3. **Streaming**: encode every subsequent window, emitting
 ///    [`SensorMessage::Window`]s. Training samples are *also* replayed
 ///    through the encoder, so no data is lost.
@@ -306,14 +310,8 @@ pub struct SensorPipeline {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum PipelineState {
-    Training {
-        learner: StreamingLearner,
-        buffer: Vec<(Timestamp, f64)>,
-        started: Option<Timestamp>,
-    },
-    Streaming {
-        encoder: OnlineEncoder,
-    },
+    Training { buffer: Vec<(Timestamp, f64)>, started: Option<Timestamp> },
+    Streaming { encoder: OnlineEncoder },
 }
 
 impl SensorPipeline {
@@ -338,11 +336,7 @@ impl SensorPipeline {
             window_secs,
             aggregation,
             train_duration,
-            state: PipelineState::Training {
-                learner: StreamingLearner::exact(method, alphabet.size())?,
-                buffer: Vec::new(),
-                started: None,
-            },
+            state: PipelineState::Training { buffer: Vec::new(), started: None },
         })
     }
 
@@ -356,18 +350,16 @@ impl SensorPipeline {
     /// by the buffered training data).
     pub fn push(&mut self, t: Timestamp, v: f64) -> Result<Vec<SensorMessage>> {
         match &mut self.state {
-            PipelineState::Training { learner, buffer, started } => {
+            PipelineState::Training { buffer, started } => {
                 let t0 = *started.get_or_insert(t);
                 if t - t0 < self.train_duration {
-                    learner.push(v)?;
+                    FiniteF64::new(v)?;
                     buffer.push((t, v));
                     return Ok(Vec::new());
                 }
                 // Training complete: build table, replay buffer, continue.
-                let separators = learner.separators()?;
                 let values: Vec<f64> = buffer.iter().map(|&(_, v)| v).collect();
-                let table =
-                    LookupTable::from_parts(self.method, self.alphabet, separators, &values)?;
+                let table = LookupTable::learn(self.method, self.alphabet, &values)?;
                 let mut encoder =
                     OnlineEncoder::new(table.clone(), self.window_secs, self.aggregation)?;
                 let mut msgs = vec![SensorMessage::Table(table)];
@@ -525,6 +517,23 @@ mod tests {
         assert_eq!(SensorMessage::from_json(&j).unwrap(), e);
         assert!(SensorMessage::from_json("{}").is_err());
         assert!(SensorMessage::from_json(r#"{"EpochTable":{"epoch":5000000000}}"#).is_err());
+    }
+
+    #[test]
+    fn pipeline_rejects_non_finite_training_samples() {
+        let a = Alphabet::with_size(4).unwrap();
+        let mut p =
+            SensorPipeline::new(SeparatorMethod::Median, a, 60, Aggregation::Mean, 600).unwrap();
+        p.push(0, 10.0).unwrap();
+        for (t, bad) in [(1, f64::NAN), (2, f64::INFINITY)] {
+            assert!(matches!(p.push(t, bad), Err(Error::InvalidParameter { name: "value", .. })));
+        }
+        p.push(3, 20.0).unwrap();
+        // Training ends at t = 600: the table counts the two finite samples.
+        match &p.push(600, 30.0).unwrap()[0] {
+            SensorMessage::Table(t) => assert_eq!(t.bin_counts().iter().sum::<u64>(), 2),
+            other => panic!("expected the table first, got {other:?}"),
+        }
     }
 
     #[test]

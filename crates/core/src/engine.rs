@@ -201,7 +201,7 @@ pub struct EngineStats {
     /// Evaluation counters, when the run drove a parallel experiment matrix
     /// (`None` for pure encode runs).
     pub eval: Option<EvalStats>,
-    /// Worker-pool counters (queue depth, panics, retries, deadline skips)
+    /// Worker-pool counters (queue depth, panics, retries, respawns)
     /// when the run dispatched jobs through [`crate::pool`].
     pub pool: Option<PoolStats>,
     /// Data-quality counters when the run sanitized or quarantined houses.

@@ -61,7 +61,7 @@ use crate::engine::EngineStats;
 use crate::error::{Error, Result};
 use crate::ingest::{FleetIngest, IngestConfig, IngestStats};
 use crate::json::JsonWriter;
-use crate::pool::{self, PoolConfig, PoolStats, SupervisorPolicy};
+use crate::pool::{self, PoolConfig, PoolStats, RetryPolicy};
 use crate::shard::ShardRouter;
 use crate::telemetry::Registry;
 
@@ -1006,13 +1006,11 @@ impl Gateway {
             std::thread::Builder::new()
                 .name("smg-runtime".into())
                 .spawn(move || {
-                    let policy = SupervisorPolicy::with_retry(
-                        crate::pool::RetryPolicy::with_max_attempts(u32::MAX).no_backoff(),
-                    );
+                    let retry = RetryPolicy::with_max_attempts(u32::MAX).no_backoff();
                     let report = pool::run_indexed_supervised_with(
                         workers,
                         &PoolConfig::with_workers(workers),
-                        &policy,
+                        &retry,
                         || (),
                         |(), _idx, _attempt| session_worker(&shared, &conn_rx),
                     );

@@ -234,7 +234,7 @@ impl MeterIngest {
     /// [`IngestStats::frames_corrupt`] (or
     /// [`frames_oversized`](IngestStats::frames_oversized)), trigger a
     /// counted resync, and decoding continues with the next frame.
-    pub fn ingest(&mut self, bytes: &[u8]) -> Result<Vec<SensorMessage>> {
+    pub fn ingest(&mut self, bytes: &[u8]) -> Vec<SensorMessage> {
         let t0 = Instant::now();
         self.stats.bytes_in += bytes.len() as u64;
         self.decoder.feed(bytes);
@@ -282,7 +282,7 @@ impl MeterIngest {
             }
         }
         self.stats.decode_secs += t0.elapsed().as_secs_f64();
-        Ok(out)
+        out
     }
 
     /// Counters accumulated so far.
@@ -361,10 +361,10 @@ impl FleetIngest {
         }
         let gateway = self.meters.entry(meter).or_insert_with(|| MeterIngest::new(self.config));
         let before = gateway.buffered();
-        let result = gateway.ingest(bytes);
+        let out = gateway.ingest(bytes);
         let after = gateway.buffered();
         self.buffered_total = self.buffered_total - before + after;
-        result
+        Ok(out)
     }
 
     /// The gateway of one meter, if it has sent anything yet.
@@ -433,7 +433,7 @@ mod tests {
             let mut gw = MeterIngest::new(IngestConfig::default());
             let mut out = Vec::new();
             for chunk in wire.chunks(chunk_size) {
-                out.extend(gw.ingest(chunk).unwrap());
+                out.extend(gw.ingest(chunk));
             }
             assert_eq!(out, msgs, "chunk_size={chunk_size}");
             let s = gw.stats();
@@ -455,12 +455,12 @@ mod tests {
         wire.extend(encode_message(&window(1)).unwrap());
         let mut gw = MeterIngest::new(IngestConfig::default());
         assert_eq!(gw.epoch(), 0);
-        let out = gw.ingest(&wire).unwrap();
+        let out = gw.ingest(&wire);
         assert_eq!(out.len(), 4);
         assert_eq!(gw.epoch(), 3, "epoch table must move the gateway forward");
         assert!(gw.table().is_some());
         // A bare (legacy) table frame can only describe epoch 0.
-        gw.ingest(&encode_message(&SensorMessage::Table(table())).unwrap()).unwrap();
+        gw.ingest(&encode_message(&SensorMessage::Table(table())).unwrap());
         assert_eq!(gw.epoch(), 0);
     }
 
@@ -471,7 +471,7 @@ mod tests {
         let table_frame_len = encode_message(&SensorMessage::Table(table())).unwrap().len();
         wire[table_frame_len + 5 * 20] ^= 0xFF;
         let mut gw = MeterIngest::new(IngestConfig::default());
-        let out = gw.ingest(&wire).unwrap();
+        let out = gw.ingest(&wire);
         let s = gw.stats();
         assert!(s.frames_corrupt >= 1);
         assert!(s.resyncs >= 1);
@@ -486,7 +486,7 @@ mod tests {
         let mut hostile = vec![0x02, 0xFF, 0xFF, 0xFF, 0xFF]; // 4 GiB announcement
         hostile.extend(&wire);
         let mut gw = MeterIngest::new(IngestConfig::default());
-        let out = gw.ingest(&hostile).unwrap();
+        let out = gw.ingest(&hostile);
         let s = gw.stats();
         assert_eq!(s.frames_oversized, 1);
         assert_eq!(s.frames_ok, 4);
@@ -571,7 +571,7 @@ mod tests {
             for chunk_size in [1, 5, 64, wire.len()] {
                 let mut gw = MeterIngest::new(IngestConfig::default());
                 for chunk in wire.chunks(chunk_size) {
-                    gw.ingest(chunk).unwrap();
+                    gw.ingest(chunk);
                 }
                 let s = gw.stats();
                 assert_eq!(
@@ -584,7 +584,7 @@ mod tests {
         }
         // The corrupt run must actually exercise the discard arm.
         let mut gw = MeterIngest::new(IngestConfig::default());
-        gw.ingest(&corrupt).unwrap();
+        gw.ingest(&corrupt);
         assert!(gw.stats().bytes_discarded > 0, "{:?}", gw.stats());
     }
 

@@ -9,13 +9,22 @@
 //! training values* that fell into the range (the reconstruction semantics
 //! of §2: "match each symbol to the average real value of it corresponding
 //! range").
+//!
+//! Tables are learned two ways. [`LookupTable::learn`] and
+//! [`LookupTable::learn_from_sample`] are exact: both take their separators
+//! from one sort of the training values (see [`crate::separators`]) and sum
+//! the bin statistics over the values in time order. The approximate
+//! [`LookupTable::learn_from_sketch`] reads everything off a bounded-memory
+//! [`QuantileSketch`], for the drift path, which keeps no raw history. Its
+//! `Uniform` grid spans the sketch's observed `[lo, hi]` rather than §2.2's
+//! `[0, max]`.
 
 use crate::alphabet::Alphabet;
 use crate::error::{Error, Result};
 use crate::json::{self, JsonValue, JsonWriter};
 use crate::separators::{
-    def3_bin_index, learn_separators, learn_separators_from_sample, FlatSeparators,
-    SeparatorMethod, SortedSample, ENCODE_CHUNK,
+    def3_bin_index, learn_separators, learn_separators_from_sample, strictly_increasing,
+    FlatSeparators, SeparatorMethod, SortedSample, ENCODE_CHUNK,
 };
 use crate::stats::QuantileSketch;
 use crate::symbol::Symbol;
@@ -60,7 +69,8 @@ pub struct LookupTable {
 
 impl LookupTable {
     /// Learns a table of `k = alphabet.size()` symbols from historical
-    /// `values` with the given separator `method`.
+    /// `values` with the given separator `method`: separators from one
+    /// sort of `values`, bin statistics over `values` as given.
     pub fn learn(method: SeparatorMethod, alphabet: Alphabet, values: &[f64]) -> Result<Self> {
         let separators = learn_separators(method, values, alphabet.size())?;
         Self::from_parts(method, alphabet, separators, values)
@@ -84,13 +94,15 @@ impl LookupTable {
     /// survives at fleet scale.
     ///
     /// Separators come from sketch quantiles (`Median`: the `j/k` rank
-    /// quantiles; `Uniform`: an even grid over the sketch's value range;
-    /// `DistinctMedian` falls back to `Median`-over-the-sketch — a mergeable
-    /// sketch cannot track distinct values, and once ranks are approximate
-    /// the duplicate-bias correction is noise). Bin means come from mid-mass
-    /// quantiles, bin counts from the sketch's rank mass per bin. Collapsed
-    /// boundaries (constant runs, heavy duplicates) are nudged apart by ULPs
-    /// so the result keeps the strictly-increasing wire invariant.
+    /// quantiles; `Uniform`: an even grid over the sketch's value range
+    /// `[lo, hi]`, not §2.2's `[0, max]`; `DistinctMedian` falls back to
+    /// `Median`-over-the-sketch — a mergeable sketch cannot track distinct
+    /// values, and once ranks are approximate the duplicate-bias correction
+    /// is noise). Bin means come from mid-mass quantiles, bin counts from
+    /// the sketch's rank mass per bin. Collapsed boundaries (constant runs,
+    /// heavy duplicates) are nudged one ULP apart, as the exact learners
+    /// nudge them, so the result keeps the strictly-increasing wire
+    /// invariant.
     ///
     /// Errors on an empty sketch or one whose value range reaches ±∞ (the
     /// sketch accepts infinities as data, but a table's range must be
@@ -113,20 +125,16 @@ impl LookupTable {
                 reason: format!("value range [{lo}, {hi}] is not finite"),
             });
         }
-        let mut separators: Vec<f64> = Vec::with_capacity(k - 1);
-        for j in 1..k {
-            let s = match method {
-                SeparatorMethod::Uniform => lo + (hi - lo) * j as f64 / k as f64,
-                SeparatorMethod::Median | SeparatorMethod::DistinctMedian => {
-                    view.quantile(j as f64 / k as f64).expect("non-empty sketch")
-                }
-            };
-            let s = match separators.last() {
-                Some(&prev) if s <= prev => next_up(prev),
-                _ => s,
-            };
-            separators.push(s);
-        }
+        let separators = strictly_increasing(
+            (1..k)
+                .map(|j| match method {
+                    SeparatorMethod::Uniform => lo + (hi - lo) * j as f64 / k as f64,
+                    SeparatorMethod::Median | SeparatorMethod::DistinctMedian => {
+                        view.quantile(j as f64 / k as f64).expect("non-empty sketch")
+                    }
+                })
+                .collect(),
+        );
 
         let mut t = Self::from_parts(method, alphabet, separators, &[])?;
         t.value_min = lo;
@@ -762,19 +770,6 @@ fn method_from_variant(s: &str) -> Option<SeparatorMethod> {
         "DistinctMedian" => SeparatorMethod::DistinctMedian,
         _ => return None,
     })
-}
-
-/// Smallest float strictly greater than finite `x` (bit-increment nudge used
-/// to pull collapsed sketch separators apart).
-fn next_up(x: f64) -> f64 {
-    if x == 0.0 {
-        return f64::from_bits(1); // smallest positive subnormal
-    }
-    if x > 0.0 {
-        f64::from_bits(x.to_bits() + 1)
-    } else {
-        f64::from_bits(x.to_bits() - 1)
-    }
 }
 
 #[cfg(test)]

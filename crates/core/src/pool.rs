@@ -17,9 +17,11 @@
 //! claims the next job index from a shared counter and keeps its outcomes
 //! in its own vector; no job or result crosses a channel. Every job
 //! attempt executes under `catch_unwind`; a panicking job is retried per
-//! [`RetryPolicy`] (deterministic jittered backoff), bounded by an optional
-//! per-run deadline, and reported as a per-job [`Outcome`] inside a
-//! [`PoolReport`] instead of taking the run down. A worker whose loop
+//! [`RetryPolicy`] (deterministic jittered backoff) and reported as a
+//! per-job [`Outcome`] (`Ok`, `Retried` or `Panicked`) inside a
+//! [`PoolReport`] instead of taking the run down. There is no deadline: an
+//! attempt already running cannot be cancelled in safe Rust, so every job
+//! runs to an outcome. A worker whose loop
 //! itself crashes is re-armed with fresh scratch state (a logical respawn),
 //! so one panic never shrinks the pool. [`run_indexed_supervised`] drops the
 //! per-worker scratch, and [`run_indexed`] is the single-attempt form for
@@ -36,7 +38,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::{Error, Result};
 use crate::json::JsonWriter;
@@ -130,31 +132,6 @@ impl RetryPolicy {
     }
 }
 
-/// Supervision knobs for one [`run_indexed_supervised`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SupervisorPolicy {
-    /// Retry schedule applied when a job attempt panics.
-    pub retry: RetryPolicy,
-    /// Per-run deadline: once elapsed, jobs that have not yet started an
-    /// attempt resolve to [`Outcome::TimedOut`] instead of executing
-    /// (attempts already running are never interrupted — safe Rust cannot
-    /// cancel them — so the run drains quickly but cooperatively).
-    pub deadline: Option<Duration>,
-}
-
-impl SupervisorPolicy {
-    /// Policy with a retry schedule and no deadline.
-    pub fn with_retry(retry: RetryPolicy) -> Self {
-        SupervisorPolicy { retry, deadline: None }
-    }
-
-    /// Sets the per-run deadline.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-}
-
 /// Per-job result of a supervised run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome<R> {
@@ -174,8 +151,6 @@ pub enum Outcome<R> {
         /// Attempts consumed (== the policy's `max_attempts`).
         attempts: u32,
     },
-    /// The run's deadline elapsed before this job could start an attempt.
-    TimedOut,
 }
 
 impl<R> Outcome<R> {
@@ -201,23 +176,13 @@ impl<R> Outcome<R> {
     }
 }
 
-/// Why a supervised job produced no value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// Every allowed attempt panicked.
-    Panic,
-    /// The per-run deadline elapsed before the job ran.
-    Deadline,
-}
-
-/// One failed job of a supervised run, in job-index order.
+/// One failed job of a supervised run, in job-index order: every allowed
+/// attempt panicked.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFailure {
     /// Index of the failed job.
     pub index: usize,
-    /// Failure class.
-    pub kind: FailureKind,
-    /// Human-readable detail (the last panic payload, or a deadline note).
+    /// The last panic payload.
     pub message: String,
     /// Attempts consumed before giving up.
     pub attempts: u32,
@@ -267,8 +232,6 @@ pub struct PoolStats {
     pub retries: u64,
     /// Jobs that exhausted every allowed attempt.
     pub gave_up: u64,
-    /// Jobs skipped because the per-run deadline had elapsed.
-    pub deadline_exceeded: u64,
     /// Times a worker's loop crashed and was re-armed with fresh scratch
     /// state (a logical respawn; per-job panics are caught one level deeper
     /// and do not count here).
@@ -290,7 +253,6 @@ crate::telemetry::declare_metrics! {
         add panics, "attempts", "Job attempts that panicked (caught by the supervisor).";
         add retries, "attempts", "Retry attempts executed after a panicking attempt.";
         add gave_up, "jobs", "Jobs that exhausted every allowed attempt.";
-        add deadline_exceeded, "jobs", "Jobs skipped because the per-run deadline had elapsed.";
         add respawns, "workers", "Worker loops re-armed after a crash.";
         merge_histogram job_attempts, "attempts",
             "Attempts needed per resolved job (1 = first try).";
@@ -321,7 +283,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `n_jobs` independent jobs across a worker pool and returns the
-/// results in job order: the single-attempt, no-deadline form of
+/// results in job order: the single-attempt form of
 /// [`run_indexed_supervised`]. `job(idx)` must be a pure function of `idx`
 /// for the output to be deterministic (the pool guarantees placement, the
 /// caller guarantees purity). Fallible jobs simply use `R = Result<T>` and
@@ -337,8 +299,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let report =
-        run_indexed_supervised(n_jobs, config, &SupervisorPolicy::default(), |idx, _| job(idx));
+    let report = run_indexed_supervised(n_jobs, config, &RetryPolicy::default(), |idx, _| job(idx));
     if let Some(failure) = report.errors.first() {
         return Err(Error::Engine(format!("pool worker panicked: {}", failure.message)));
     }
@@ -352,7 +313,7 @@ where
 pub fn run_indexed_supervised<R, F>(
     n_jobs: usize,
     config: &PoolConfig,
-    policy: &SupervisorPolicy,
+    retry: &RetryPolicy,
     job: F,
 ) -> PoolReport<R>
 where
@@ -362,28 +323,27 @@ where
     run_indexed_supervised_with(
         n_jobs,
         config,
-        policy,
+        retry,
         || (),
         move |(), idx, attempt| job(idx, attempt),
     )
 }
 
 /// The supervised pool: every job attempt runs under `catch_unwind`, panics
-/// are retried per [`SupervisorPolicy::retry`] (the scratch state is
-/// re-initialized after each caught panic, since the panicking attempt may
-/// have torn it), jobs that cannot start before the deadline resolve to
-/// [`Outcome::TimedOut`], and a worker whose loop itself crashes is re-armed
-/// with fresh scratch instead of shrinking the pool. `init` runs once per
+/// are retried per `retry` (the scratch state is re-initialized after each
+/// caught panic, since the panicking attempt may have torn it), and a worker
+/// whose loop itself crashes is re-armed with fresh scratch instead of
+/// shrinking the pool. `init` runs once per
 /// worker, before its first claim, and again after each respawn. The
 /// calling thread is worker 0, so a one-worker run spawns no thread.
 ///
 /// The report's `results` are index-ordered and — when `job` is
 /// deterministic per `(index, attempt)` — independent of worker count and
-/// scheduling, deadline pressure aside.
+/// scheduling.
 pub fn run_indexed_supervised_with<S, R, I, F>(
     n_jobs: usize,
     config: &PoolConfig,
-    policy: &SupervisorPolicy,
+    retry: &RetryPolicy,
     init: I,
     job: F,
 ) -> PoolReport<R>
@@ -405,13 +365,10 @@ where
         return PoolReport { results: Vec::new(), errors: Vec::new(), stats };
     }
 
-    let deadline_at = policy.deadline.map(|d| Instant::now() + d);
-    let retry = policy.retry;
     let next = AtomicUsize::new(0);
     let panics = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
     let gave_up = AtomicU64::new(0);
-    let deadline_exceeded = AtomicU64::new(0);
     let respawns = AtomicU64::new(0);
 
     // Runs every attempt job `idx` is allowed, rebuilding the scratch after
@@ -419,10 +376,6 @@ where
     let supervise = |state: &mut S, idx: usize| -> Outcome<R> {
         let mut attempt = 0u32;
         loop {
-            if deadline_at.is_some_and(|t| Instant::now() >= t) {
-                deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                return Outcome::TimedOut;
-            }
             attempt += 1;
             if attempt > 1 {
                 retries.fetch_add(1, Ordering::Relaxed);
@@ -489,17 +442,13 @@ where
     for (idx, outcome) in finished.into_iter().flatten() {
         // Attempts-per-job is a pure function of the job index (given a
         // deterministic fault plan), so the histogram is independent of
-        // worker count. Timed-out jobs are not observed, and neither are
-        // the lost claims repaired below.
+        // worker count. The lost claims repaired below are not observed.
         let attempts = match &outcome {
-            Outcome::Ok(_) => Some(1),
-            Outcome::Retried { retries, .. } => Some(retries + 1),
-            Outcome::Panicked { attempts, .. } => Some(*attempts),
-            Outcome::TimedOut => None,
+            Outcome::Ok(_) => 1,
+            Outcome::Retried { retries, .. } => retries + 1,
+            Outcome::Panicked { attempts, .. } => *attempts,
         };
-        if let Some(attempts) = attempts {
-            stats.job_attempts.observe(u64::from(attempts));
-        }
+        stats.job_attempts.observe(u64::from(attempts));
         results[idx] = Some(outcome);
     }
 
@@ -523,25 +472,15 @@ where
     stats.panics = panics.load(Ordering::Relaxed);
     stats.retries = retries.load(Ordering::Relaxed);
     stats.gave_up = gave_up.load(Ordering::Relaxed);
-    stats.deadline_exceeded = deadline_exceeded.load(Ordering::Relaxed);
     stats.respawns = respawns.load(Ordering::Relaxed);
 
     let errors = results
         .iter()
         .enumerate()
         .filter_map(|(index, outcome)| match outcome {
-            Outcome::Panicked { message, attempts } => Some(JobFailure {
-                index,
-                kind: FailureKind::Panic,
-                message: message.clone(),
-                attempts: *attempts,
-            }),
-            Outcome::TimedOut => Some(JobFailure {
-                index,
-                kind: FailureKind::Deadline,
-                message: "deadline elapsed before the job could start".to_string(),
-                attempts: 0,
-            }),
+            Outcome::Panicked { message, attempts } => {
+                Some(JobFailure { index, message: message.clone(), attempts: *attempts })
+            }
             _ => None,
         })
         .collect();
@@ -611,7 +550,7 @@ mod tests {
             let report = run_indexed_supervised_with(
                 40,
                 &PoolConfig::with_workers(workers),
-                &SupervisorPolicy::default(),
+                &RetryPolicy::default(),
                 || {
                     if first.swap(false, Ordering::Relaxed) {
                         panic!("init fails on its first call");
@@ -638,7 +577,7 @@ mod tests {
             let report = run_indexed_supervised_with(
                 20,
                 &PoolConfig::with_workers(workers),
-                &SupervisorPolicy::default(),
+                &RetryPolicy::default(),
                 || {
                     if TORN.with(|t| t.replace(false)) {
                         panic!("scratch rebuild fails");
@@ -687,7 +626,7 @@ mod tests {
         let report = run_indexed_supervised_with(
             50,
             &PoolConfig::with_workers(4),
-            &SupervisorPolicy::default(),
+            &RetryPolicy::default(),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 Vec::<usize>::new()
@@ -767,7 +706,7 @@ mod tests {
 
     #[test]
     fn supervised_isolates_panics_and_reports_index_ordered() {
-        let policy = SupervisorPolicy::default(); // max_attempts = 1
+        let policy = RetryPolicy::default(); // max_attempts = 1
         for workers in [1, 2, 8] {
             let report = run_indexed_supervised(
                 20,
@@ -811,7 +750,7 @@ mod tests {
         // panics. With max_attempts = 3 the first recovers, the second
         // exhausts.
         let attempts_seen: Mutex<HashMap<usize, u32>> = Mutex::new(HashMap::new());
-        let policy = SupervisorPolicy::with_retry(RetryPolicy::with_max_attempts(3).no_backoff());
+        let policy = RetryPolicy::with_max_attempts(3).no_backoff();
         let report =
             run_indexed_supervised(12, &PoolConfig::with_workers(3), &policy, |i, attempt| {
                 *attempts_seen.lock().unwrap().entry(i).or_insert(0) = attempt;
@@ -827,7 +766,6 @@ mod tests {
         assert!(matches!(report.results[9], Outcome::Panicked { attempts: 3, .. }));
         assert_eq!(report.errors.len(), 1);
         assert_eq!(report.errors[0].index, 9);
-        assert_eq!(report.errors[0].kind, FailureKind::Panic);
         assert_eq!(report.stats.panics, 2 + 3);
         assert_eq!(report.stats.retries, 2 + 2);
         assert_eq!(report.stats.gave_up, 1);
@@ -840,7 +778,7 @@ mod tests {
     #[test]
     fn supervised_scratch_is_rebuilt_after_a_panic() {
         // A panicking attempt must not leak its torn scratch into the retry.
-        let policy = SupervisorPolicy::with_retry(RetryPolicy::with_max_attempts(2).no_backoff());
+        let policy = RetryPolicy::with_max_attempts(2).no_backoff();
         let report = run_indexed_supervised_with(
             6,
             &PoolConfig::with_workers(2),
@@ -857,24 +795,6 @@ mod tests {
         // Job 4's retry sees a *fresh* scratch: exactly one element (its own
         // push), not the torn leftovers plus one.
         assert_eq!(report.results[4], Outcome::Retried { value: 1, retries: 1 });
-    }
-
-    #[test]
-    fn supervised_deadline_times_out_pending_jobs() {
-        let policy = SupervisorPolicy::default().deadline(Duration::from_millis(30));
-        let report =
-            run_indexed_supervised(6, &PoolConfig::with_workers(1), &policy, |i, _attempt| {
-                if i == 0 {
-                    std::thread::sleep(Duration::from_millis(120));
-                }
-                i
-            });
-        assert_eq!(report.results[0], Outcome::Ok(0), "running jobs are never interrupted");
-        let timed_out =
-            report.results.iter().filter(|o| matches!(o, Outcome::TimedOut)).count() as u64;
-        assert!(timed_out >= 1, "deadline must skip queued jobs: {:?}", report.stats);
-        assert_eq!(report.stats.deadline_exceeded, timed_out);
-        assert!(report.errors.iter().all(|f| f.kind != FailureKind::Deadline || f.attempts == 0));
     }
 
     #[test]
@@ -901,12 +821,8 @@ mod tests {
 
     #[test]
     fn supervised_empty_run_is_fine() {
-        let report = run_indexed_supervised(
-            0,
-            &PoolConfig::default(),
-            &SupervisorPolicy::default(),
-            |i, _| i,
-        );
+        let report =
+            run_indexed_supervised(0, &PoolConfig::default(), &RetryPolicy::default(), |i, _| i);
         assert!(report.results.is_empty());
         assert!(report.errors.is_empty());
         assert_eq!(report.stats.jobs, 0);
@@ -922,14 +838,11 @@ mod tests {
             panics: 3,
             retries: 2,
             gave_up: 1,
-            deadline_exceeded: 4,
             respawns: 1,
             ..PoolStats::default()
         };
         let json = stats.to_json();
-        for key in
-            ["workers", "jobs", "panics", "retries", "gave_up", "deadline_exceeded", "respawns"]
-        {
+        for key in ["workers", "jobs", "panics", "retries", "gave_up", "respawns"] {
             assert!(json.contains(key), "{json} missing {key}");
         }
     }

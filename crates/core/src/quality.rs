@@ -273,7 +273,8 @@ pub struct QualityStats {
     /// Houses quarantined (sanitization rejected them, or their encode job
     /// exhausted retries).
     pub quarantined: u64,
-    /// Samples examined across the fleet.
+    /// Every sample of every house the block counts, rejected houses
+    /// included.
     pub samples_in: u64,
     /// Samples surviving across the fleet.
     pub samples_out: u64,
@@ -299,7 +300,7 @@ crate::telemetry::declare_metrics! {
     QualityStats as quality {
         add houses, "houses", "Houses sanitized.";
         add quarantined, "houses", "Houses quarantined (dirty data or exhausted retries).";
-        add samples_in, "samples", "Samples examined across the fleet.";
+        add samples_in, "samples", "Every sample of every house the block counts.";
         add samples_out, "samples", "Samples surviving sanitization across the fleet.";
         add defects.non_finite, "defects", "NaN/infinite values seen.";
         add defects.negative_power, "defects", "Negative power readings seen.";

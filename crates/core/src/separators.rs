@@ -7,9 +7,22 @@
 //!   breakpoints to arbitrary distributions);
 //! * **distinctmedian** — k-quantiles over the *set* of distinct values
 //!   (avoids bias toward heavily repeated values such as standby power).
+//!
+//! Exact tables have one learner. [`learn_separators`] reads `uniform`'s
+//! maximum in one pass; for the two quantile methods it sorts one copy of
+//! the training values and reads every boundary off that sort.
+//! [`SortedSample`] keeps such a sort so that a grid of `(method, k)` cells
+//! pays for it once, and [`learn_separators_from_sample`] answers from it
+//! with the same code. Boundaries that collapse onto a repeated value are
+//! nudged one ULP apart by the crate's one nudge, which the approximate
+//! tables of
+//! [`LookupTable::learn_from_sketch`](crate::lookup::LookupTable::learn_from_sketch)
+//! share. A sensor that learns while it streams buffers its training
+//! values and learns from them when training ends
+//! ([`SensorPipeline`](crate::encoder::SensorPipeline)).
 
 use crate::error::{Error, Result};
-use crate::stats::{OrderedMultiset, QuantileSketch};
+use crate::stats::FiniteF64;
 
 /// Which separator-generation strategy to use (paper §2.2 a–c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +70,7 @@ fn validate_k(k: usize) -> Result<()> {
 /// smallest possible distortion that keeps every bin's range unique and the
 /// encoding of every value deterministic (see [`def3_bin_index`] for the
 /// Def. 3 tie rule).
-fn strictly_increasing(mut seps: Vec<f64>) -> Vec<f64> {
+pub(crate) fn strictly_increasing(mut seps: Vec<f64>) -> Vec<f64> {
     for i in 1..seps.len() {
         if seps[i] <= seps[i - 1] {
             seps[i] = seps[i - 1].next_up();
@@ -237,59 +250,72 @@ pub fn uniform_separators(max: f64, k: usize) -> Result<Vec<f64>> {
     Ok((1..k).map(|i| i as f64 * max / k as f64).collect())
 }
 
-/// Median separators: `β_i` = the `i/k`-quantile of `values`
-/// (the boundary value between consecutive k-quantile subsets, §2.2b).
-pub fn median_separators(values: &[f64], k: usize) -> Result<Vec<f64>> {
-    validate_k(k)?;
-    if values.is_empty() {
-        return Err(Error::EmptyInput("median_separators"));
-    }
-    let mut ms = OrderedMultiset::new();
-    for &v in values {
-        ms.insert(v)?;
-    }
-    Ok(strictly_increasing(
-        (1..k).map(|i| ms.quantile(i as f64 / k as f64).expect("non-empty")).collect(),
-    ))
-}
-
-/// Distinct-median separators: k-quantiles of the distinct-value set (§2.2c).
-pub fn distinct_median_separators(values: &[f64], k: usize) -> Result<Vec<f64>> {
-    validate_k(k)?;
-    if values.is_empty() {
-        return Err(Error::EmptyInput("distinct_median_separators"));
-    }
-    let mut ms = OrderedMultiset::new();
-    for &v in values {
-        ms.insert(v)?;
-    }
-    Ok(strictly_increasing(
-        (1..k).map(|i| ms.distinct_quantile(i as f64 / k as f64).expect("non-empty")).collect(),
-    ))
-}
-
 /// Learns separators with the chosen `method` from a batch of historical
 /// values (the paper uses the first two days of each house's data, §3).
+///
+/// `Uniform` needs only the maximum, which it reads in one pass. `Median`
+/// and `DistinctMedian` check `k`, then sort one copy of `values` and read
+/// their quantiles off it with the code [`SortedSample`] uses.
 pub fn learn_separators(method: SeparatorMethod, values: &[f64], k: usize) -> Result<Vec<f64>> {
-    match method {
-        SeparatorMethod::Uniform => {
-            let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            if values.is_empty() {
-                return Err(Error::EmptyInput("learn_separators"));
-            }
-            uniform_separators(max.max(f64::MIN_POSITIVE), k)
+    if method == SeparatorMethod::Uniform {
+        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if values.is_empty() {
+            return Err(Error::EmptyInput("learn_separators"));
         }
-        SeparatorMethod::Median => median_separators(values, k),
-        SeparatorMethod::DistinctMedian => distinct_median_separators(values, k),
+        return uniform_separators(max.max(f64::MIN_POSITIVE), k);
     }
+    validate_k(k)?;
+    let mut sorted = sort_finite(values, "learn_separators")?;
+    if method == SeparatorMethod::DistinctMedian {
+        dedup_bitwise(&mut sorted);
+    }
+    Ok(quantile_separators(&sorted, k))
 }
 
-/// A training batch sorted **once**, answering the same quantile queries as
-/// [`OrderedMultiset`] for every alphabet size. The paper's experiments
-/// learn a table per `(house, method, k)` cell over the same two training
-/// days; going through the multiset re-inserted (re-sorted) those days once
-/// per cell. Build one `SortedSample` per house and reuse it across the
-/// whole `k` grid.
+/// A copy of `values` sorted ascending, after the checks the exact
+/// learners make: the batch is non-empty (else [`Error::EmptyInput`] with
+/// `label`) and every value is finite ([`FiniteF64::new`]'s error).
+fn sort_finite(values: &[f64], label: &'static str) -> Result<Vec<f64>> {
+    if values.is_empty() {
+        return Err(Error::EmptyInput(label));
+    }
+    for &v in values {
+        FiniteF64::new(v)?;
+    }
+    let mut sorted = values.to_vec();
+    // Values equal under the total order are bitwise equal, so the
+    // unstable sort yields the same sequence as a stable one.
+    sorted.sort_unstable_by(f64::total_cmp);
+    Ok(sorted)
+}
+
+/// Keeps one of each run of bitwise-equal values: the distinct-value set
+/// of §2.2c (`-0.0` and `+0.0` stay distinct, as in
+/// [`OrderedMultiset`](crate::stats::OrderedMultiset)).
+fn dedup_bitwise(sorted: &mut Vec<f64>) {
+    sorted.dedup_by_key(|v| v.to_bits());
+}
+
+/// The k-quantile separators of `sorted` (ascending, non-empty): `β_i` is
+/// the type-1 `i/k`-quantile, the value at rank `⌈i·n/k⌉`, as
+/// [`OrderedMultiset::quantile`](crate::stats::OrderedMultiset::quantile)
+/// answers it, with collapsed boundaries nudged apart.
+fn quantile_separators(sorted: &[f64], k: usize) -> Vec<f64> {
+    let n = sorted.len();
+    strictly_increasing(
+        (1..k)
+            .map(|i| {
+                let rank = ((i as f64 / k as f64 * n as f64).ceil() as usize).max(1);
+                sorted[rank.min(n) - 1]
+            })
+            .collect(),
+    )
+}
+
+/// A training batch sorted **once**, answering [`learn_separators`] for
+/// every `(method, k)` cell. The paper's experiments learn a table per
+/// `(house, method, k)` cell over the same two training days; build one
+/// `SortedSample` per house and reuse it across the whole grid.
 #[derive(Debug, Clone)]
 pub struct SortedSample {
     /// Values in their original (time) order — bin statistics sum in this
@@ -297,72 +323,22 @@ pub struct SortedSample {
     original: Vec<f64>,
     /// Values sorted ascending (total order).
     sorted: Vec<f64>,
-    /// Distinct sorted values (bitwise dedup, matching the multiset's
-    /// `FiniteF64` keys — `-0.0` and `+0.0` stay distinct).
+    /// The distinct sorted values.
     distinct: Vec<f64>,
 }
 
 impl SortedSample {
     /// Sorts a non-empty batch of finite values.
     pub fn new(values: &[f64]) -> Result<Self> {
-        if values.is_empty() {
-            return Err(Error::EmptyInput("SortedSample::new"));
-        }
-        for &v in values {
-            if !v.is_finite() {
-                return Err(Error::InvalidParameter {
-                    name: "value",
-                    reason: format!("must be finite, got {v}"),
-                });
-            }
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let mut distinct = Vec::new();
-        for &v in &sorted {
-            if distinct.last().map(|d: &f64| d.to_bits() != v.to_bits()).unwrap_or(true) {
-                distinct.push(v);
-            }
-        }
+        let sorted = sort_finite(values, "SortedSample::new")?;
+        let mut distinct = sorted.clone();
+        dedup_bitwise(&mut distinct);
         Ok(SortedSample { original: values.to_vec(), sorted, distinct })
-    }
-
-    /// Number of values (with multiplicity).
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false — construction rejects empty batches.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// The values in their original order.
     pub fn values(&self) -> &[f64] {
         &self.original
-    }
-
-    /// Largest value.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
-    }
-
-    /// Type-1 `q`-quantile over all values, identical to
-    /// [`OrderedMultiset::quantile`].
-    pub fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        let target = ((q * n as f64).ceil() as usize).max(1);
-        self.sorted[(target - 1).min(n - 1)]
-    }
-
-    /// `q`-quantile over the distinct-value set, identical to
-    /// [`OrderedMultiset::distinct_quantile`].
-    pub fn distinct_quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let n = self.distinct.len();
-        let idx = ((q * n as f64).ceil() as usize).max(1) - 1;
-        self.distinct[idx.min(n - 1)]
     }
 }
 
@@ -375,136 +351,19 @@ pub fn learn_separators_from_sample(
 ) -> Result<Vec<f64>> {
     validate_k(k)?;
     match method {
-        SeparatorMethod::Uniform => uniform_separators(sample.max().max(f64::MIN_POSITIVE), k),
-        SeparatorMethod::Median => {
-            Ok(strictly_increasing((1..k).map(|i| sample.quantile(i as f64 / k as f64)).collect()))
+        SeparatorMethod::Uniform => {
+            let max = sample.sorted[sample.sorted.len() - 1];
+            uniform_separators(max.max(f64::MIN_POSITIVE), k)
         }
-        SeparatorMethod::DistinctMedian => Ok(strictly_increasing(
-            (1..k).map(|i| sample.distinct_quantile(i as f64 / k as f64)).collect(),
-        )),
-    }
-}
-
-/// Streaming separator learner for the sensor side: feeds values one at a
-/// time, then produces separators. `Exact` keeps an order-statistics multiset
-/// (exact quantiles, memory ∝ distinct values); `Approximate` keeps one
-/// [`QuantileSketch`] (memory logarithmic in the stream length, with a
-/// tracked rank-error bound) and supports only [`SeparatorMethod::Median`]
-/// and [`SeparatorMethod::Uniform`].
-#[derive(Debug, Clone)]
-pub struct StreamingLearner(LearnerImpl);
-
-#[derive(Debug, Clone)]
-enum LearnerImpl {
-    Exact { method: SeparatorMethod, k: usize, multiset: OrderedMultiset },
-    Approximate { method: SeparatorMethod, k: usize, sketch: QuantileSketch },
-}
-
-impl StreamingLearner {
-    /// Exact learner for any method.
-    pub fn exact(method: SeparatorMethod, k: usize) -> Result<Self> {
-        validate_k(k)?;
-        Ok(StreamingLearner(LearnerImpl::Exact { method, k, multiset: OrderedMultiset::new() }))
-    }
-
-    /// Approximate sketch-backed learner (Median or Uniform only —
-    /// distinct-value quantiles have no sketch here).
-    pub fn approximate(method: SeparatorMethod, k: usize) -> Result<Self> {
-        validate_k(k)?;
-        if method == SeparatorMethod::DistinctMedian {
-            return Err(Error::InvalidParameter {
-                name: "method",
-                reason: "distinctmedian is not supported by the approximate learner".to_string(),
-            });
-        }
-        Ok(StreamingLearner(LearnerImpl::Approximate {
-            method,
-            k,
-            sketch: QuantileSketch::with_default_capacity(),
-        }))
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, v: f64) -> Result<()> {
-        match &mut self.0 {
-            LearnerImpl::Exact { multiset, .. } => multiset.insert(v),
-            LearnerImpl::Approximate { sketch, .. } => {
-                // The sketch orders ±∞; separators need finite values.
-                if !v.is_finite() {
-                    return Err(Error::InvalidParameter {
-                        name: "value",
-                        reason: format!("must be finite, got {v}"),
-                    });
-                }
-                sketch.update(v)
-            }
-        }
-    }
-
-    /// Number of observations consumed.
-    pub fn count(&self) -> u64 {
-        match &self.0 {
-            LearnerImpl::Exact { multiset, .. } => multiset.len(),
-            LearnerImpl::Approximate { sketch, .. } => sketch.count(),
-        }
-    }
-
-    /// The learner's configured method.
-    pub fn method(&self) -> SeparatorMethod {
-        match &self.0 {
-            LearnerImpl::Exact { method, .. } => *method,
-            LearnerImpl::Approximate { method, .. } => *method,
-        }
-    }
-
-    /// Produces the separators from everything seen so far.
-    pub fn separators(&self) -> Result<Vec<f64>> {
-        match &self.0 {
-            LearnerImpl::Exact { method, k, multiset } => {
-                if multiset.is_empty() {
-                    return Err(Error::EmptyInput("StreamingLearner::separators"));
-                }
-                match method {
-                    SeparatorMethod::Uniform => uniform_separators(
-                        multiset.iter().last().map(|(v, _)| v).unwrap().max(f64::MIN_POSITIVE),
-                        *k,
-                    ),
-                    SeparatorMethod::Median => Ok(strictly_increasing(
-                        (1..*k)
-                            .map(|i| multiset.quantile(i as f64 / *k as f64).expect("non-empty"))
-                            .collect(),
-                    )),
-                    SeparatorMethod::DistinctMedian => Ok(strictly_increasing(
-                        (1..*k)
-                            .map(|i| {
-                                multiset.distinct_quantile(i as f64 / *k as f64).expect("non-empty")
-                            })
-                            .collect(),
-                    )),
-                }
-            }
-            LearnerImpl::Approximate { method, k, sketch } => {
-                if sketch.is_empty() {
-                    return Err(Error::EmptyInput("StreamingLearner::separators"));
-                }
-                let view = sketch.sorted_view();
-                let quantile = |q: f64| view.quantile(q).expect("non-empty");
-                match method {
-                    SeparatorMethod::Uniform => {
-                        uniform_separators(quantile(1.0).max(f64::MIN_POSITIVE), *k)
-                    }
-                    _ => Ok(strictly_increasing(
-                        (1..*k).map(|i| quantile(i as f64 / *k as f64)).collect(),
-                    )),
-                }
-            }
-        }
+        SeparatorMethod::Median => Ok(quantile_separators(&sample.sorted, k)),
+        SeparatorMethod::DistinctMedian => Ok(quantile_separators(&sample.distinct, k)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::OrderedMultiset;
 
     #[test]
     fn uniform_splits_zero_to_max() {
@@ -519,7 +378,7 @@ mod tests {
     fn median_separators_are_quantile_boundaries() {
         // 1..=8, k=4 ⇒ boundaries at the 2nd, 4th, 6th values.
         let v: Vec<f64> = (1..=8).map(|x| x as f64).collect();
-        let s = median_separators(&v, 4).unwrap();
+        let s = learn_separators(SeparatorMethod::Median, &v, 4).unwrap();
         assert_eq!(s, vec![2.0, 4.0, 6.0]);
     }
 
@@ -527,14 +386,14 @@ mod tests {
     fn median_biased_by_repeats_distinct_is_not() {
         let mut v = vec![0.0; 96];
         v.extend([100.0, 200.0, 300.0, 400.0].iter());
-        let med = median_separators(&v, 4).unwrap();
+        let med = learn_separators(SeparatorMethod::Median, &v, 4).unwrap();
         // Plain median collapses onto the repeated value (the §2.2c bias
         // motivating distinctmedian); collapsed boundaries are nudged to the
         // next representable doubles so they stay strictly increasing.
         assert_eq!(med[0], 0.0);
         assert!(med[2] <= f64::MIN_POSITIVE, "still collapsed near the repeat: {med:?}");
         assert!(med[0] < med[1] && med[1] < med[2], "no duplicates: {med:?}");
-        let dm = distinct_median_separators(&v, 4).unwrap();
+        let dm = learn_separators(SeparatorMethod::DistinctMedian, &v, 4).unwrap();
         // Distinct values {0,100,200,300,400}: boundary i sits at the
         // ceil(5·i/4)-th distinct value ⇒ the 2nd, 3rd and 4th.
         assert_eq!(dm, vec![100.0, 200.0, 300.0]);
@@ -560,25 +419,7 @@ mod tests {
                 for w in s.windows(2) {
                     assert!(w[0] < w[1], "{method} on {v:?}: duplicate/decreasing {s:?}");
                 }
-                // Streaming exact learner upholds the same invariant.
-                let mut sl = StreamingLearner::exact(method, 8).unwrap();
-                for &x in v {
-                    sl.push(x).unwrap();
-                }
-                let s = sl.separators().unwrap();
-                for w in s.windows(2) {
-                    assert!(w[0] < w[1], "streaming {method} on {v:?}: {s:?}");
-                }
             }
-        }
-        // Approximate learner too (median only).
-        let mut sl = StreamingLearner::approximate(SeparatorMethod::Median, 8).unwrap();
-        for _ in 0..100 {
-            sl.push(42.0).unwrap();
-        }
-        let s = sl.separators().unwrap();
-        for w in s.windows(2) {
-            assert!(w[0] < w[1], "approximate on constants: {s:?}");
         }
     }
 
@@ -596,8 +437,11 @@ mod tests {
 
     #[test]
     fn sorted_sample_matches_multiset_learning() {
-        // Heavy repeats, unsorted input, < k distinct values — all the
-        // cases where the quantile conventions could diverge.
+        // The reference: every value streamed into the order-statistics
+        // multiset, each boundary read off it and nudged apart. Heavy
+        // repeats, unsorted input, signed zeros and fewer distinct values
+        // than k are the cases where the quantile conventions could
+        // diverge.
         let inputs: Vec<Vec<f64>> = vec![
             vec![5.0, 1.0, 3.0, 3.0, 3.0, 9.0, 2.0, 8.0, 7.0, 3.0],
             {
@@ -606,19 +450,37 @@ mod tests {
                 v
             },
             vec![7.5; 50],
+            vec![-0.0, 0.0, 0.0, -0.0, 1.0, 1.0, 1.0, 2.0],
             (0..1000).map(|i| ((i * 37) % 101) as f64).collect(),
+            (0..192).map(|i| ((i * 7919) % 613 / 50 * 50) as f64).collect(),
         ];
         for v in &inputs {
+            let mut ms = OrderedMultiset::new();
+            for &x in v {
+                ms.insert(x).unwrap();
+            }
             let sample = SortedSample::new(v).unwrap();
-            assert_eq!(sample.len(), v.len());
             assert_eq!(sample.values(), &v[..]);
             for method in SeparatorMethod::ALL {
-                for k in [2, 4, 8, 16] {
-                    assert_eq!(
-                        learn_separators_from_sample(method, &sample, k).unwrap(),
-                        learn_separators(method, v, k).unwrap(),
-                        "{method} k={k} on {v:?}"
-                    );
+                for k in [2, 4, 8, 16, 32] {
+                    let q = |i: usize| i as f64 / k as f64;
+                    let want = match method {
+                        SeparatorMethod::Uniform => {
+                            let max = ms.iter().last().unwrap().0;
+                            uniform_separators(max.max(f64::MIN_POSITIVE), k).unwrap()
+                        }
+                        SeparatorMethod::Median => strictly_increasing(
+                            (1..k).map(|i| ms.quantile(q(i)).unwrap()).collect(),
+                        ),
+                        SeparatorMethod::DistinctMedian => strictly_increasing(
+                            (1..k).map(|i| ms.distinct_quantile(q(i)).unwrap()).collect(),
+                        ),
+                    };
+                    let got = learn_separators(method, v, k).unwrap();
+                    let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{method} k={k} on {v:?}");
+                    let cached = learn_separators_from_sample(method, &sample, k).unwrap();
+                    assert_eq!(bits(&cached), bits(&want), "{method} k={k} cached");
                 }
             }
         }
@@ -627,46 +489,21 @@ mod tests {
     }
 
     #[test]
-    fn learn_separators_rejects_empty() {
+    fn learn_separators_checks_k_then_the_input() {
         for method in SeparatorMethod::ALL {
             assert!(learn_separators(method, &[], 4).is_err());
         }
-    }
-
-    #[test]
-    fn streaming_exact_matches_batch() {
-        let v: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64).collect();
-        for method in SeparatorMethod::ALL {
-            let batch = learn_separators(method, &v, 16).unwrap();
-            let mut sl = StreamingLearner::exact(method, 16).unwrap();
-            for &x in &v {
-                sl.push(x).unwrap();
-            }
-            assert_eq!(sl.separators().unwrap(), batch, "{method}");
-            assert_eq!(sl.count(), 1000);
+        for method in [SeparatorMethod::Median, SeparatorMethod::DistinctMedian] {
+            assert!(matches!(learn_separators(method, &[], 3), Err(Error::InvalidAlphabetSize(3))));
+            assert!(matches!(
+                learn_separators(method, &[], 4),
+                Err(Error::EmptyInput("learn_separators"))
+            ));
+            assert!(matches!(
+                learn_separators(method, &[1.0, f64::INFINITY], 4),
+                Err(Error::InvalidParameter { name: "value", .. })
+            ));
         }
-    }
-
-    #[test]
-    fn streaming_approximate_close_to_exact() {
-        let v: Vec<f64> = (0..20_000).map(|i| ((i * 9973) % 4096) as f64).collect();
-        let exact = median_separators(&v, 8).unwrap();
-        let mut sl = StreamingLearner::approximate(SeparatorMethod::Median, 8).unwrap();
-        for &x in &v {
-            sl.push(x).unwrap();
-        }
-        let approx = sl.separators().unwrap();
-        for (a, e) in approx.iter().zip(&exact) {
-            assert!((a - e).abs() < 150.0, "approx {a} vs exact {e}");
-        }
-        for w in approx.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-    }
-
-    #[test]
-    fn approximate_rejects_distinctmedian() {
-        assert!(StreamingLearner::approximate(SeparatorMethod::DistinctMedian, 8).is_err());
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
 use crate::lookup::LookupTable;
 use crate::pipeline::{CodecBuilder, SymbolicCodec};
-use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
+use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy};
 use crate::quality::{QualityStats, Sanitizer};
 use crate::telemetry::Registry;
 use crate::timeseries::TimeSeries;
@@ -748,7 +748,6 @@ impl ShardedFleetEngine {
             p.panics += stats.panics;
             p.retries += stats.retries;
             p.gave_up += stats.gave_up;
-            p.deadline_exceeded += stats.deadline_exceeded;
             p.respawns += stats.respawns;
             p.job_attempts.merge(&stats.job_attempts);
         }
@@ -768,10 +767,12 @@ impl ShardedFleetEngine {
         // value count is its symbol count.
         let placeholder = SymbolicSeries::new(self.builder.resolution())?;
         let t = &mut self.totals;
+        let mut batch_samples = 0;
         for i in 0..len {
             t.house_samples.observe(series(i).len() as u64);
-            t.samples_in += series(i).len() as u64;
+            batch_samples += series(i).len() as u64;
         }
+        t.samples_in += batch_samples;
         for s in encoded.iter().flatten() {
             t.encode_batch_values.observe(s.len() as u64);
         }
@@ -785,10 +786,13 @@ impl ShardedFleetEngine {
         t.symbols_out += symbols;
         t.train_secs += train_secs;
         t.encode_secs += encode_secs;
-        // `merge_report` counted the houses the sanitizer passed; the rest
-        // of the batch (its rejects, or every house when it is off) is
-        // counted here.
+        // `merge_report` counted the houses the sanitizer passed and their
+        // samples; the rest of the batch (its rejects, or every house when
+        // it is off) is counted here, so the quality block's houses and
+        // samples equal the engine's.
         self.quality.houses += (len - reports.len()) as u64;
+        self.quality.samples_in +=
+            batch_samples - reports.iter().map(|r| r.samples_in).sum::<u64>();
         self.quality.quarantined += quarantined.len() as u64;
         if self.config.drift.is_some() {
             self.adaptive_stats.symbols += symbols;
@@ -822,7 +826,7 @@ type HouseResult = std::result::Result<(SymbolicSeries, Option<LookupTable>), Qu
 /// on the house itself. Each worker reuses its scratch buffers across
 /// houses through [`SymbolicCodec::encode_into`], so the output equals
 /// [`SymbolicCodec::encode`]. A panicking job is re-run as `retry`
-/// allows; no deadline is set, so none times out. Results come back in
+/// allows. Results come back in
 /// job order; a trained table is returned only under `keep_tables` (a
 /// cache will keep it). `chaos` panics chosen inputs above the pool's
 /// `catch_unwind`.
@@ -840,7 +844,7 @@ fn encode_houses<'a>(
     let report = crate::pool::run_indexed_supervised_with(
         idxs.len(),
         pool,
-        &SupervisorPolicy::with_retry(retry),
+        &retry,
         || (TimeSeries::new(), SymbolicSeries::new(1).expect("1 bit is a valid resolution")),
         |(scratch, out), j, attempt| -> Result<(SymbolicSeries, Option<LookupTable>)> {
             inject_chaos(chaos, idxs[j], attempt);
@@ -868,7 +872,6 @@ fn encode_houses<'a>(
             Outcome::Panicked { message, attempts } => {
                 Err(QuarantineReason::Panicked { message, attempts })
             }
-            Outcome::TimedOut => unreachable!("the policy sets no deadline"),
         })
         .collect();
     (results, report.stats)

@@ -143,7 +143,8 @@ impl ExactQuantiles {
 
 /// Order-statistics multiset over finite floats: supports streaming insert
 /// and exact median / distinct-median queries at any time. Backs the Fig. 4
-/// accumulative-statistics experiment and the exact separator learners.
+/// accumulative-statistics experiment, and is the reference the separator
+/// learner's tests check its one-sort quantiles against.
 #[derive(Debug, Clone, Default)]
 pub struct OrderedMultiset {
     counts: BTreeMap<FiniteF64, u64>,

@@ -218,7 +218,7 @@ mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
     use crate::lookup::LookupTable;
-    use crate::separators::{median_separators, SeparatorMethod};
+    use crate::separators::{learn_separators, SeparatorMethod};
 
     #[test]
     fn supervised_finds_class_boundaries() {
@@ -285,7 +285,7 @@ mod tests {
             crate::privacy::mutual_information_bits(&labels, &symbols).unwrap()
         };
         let supervised = mi(supervised_separators(&values, &labels, 4).unwrap());
-        let median = mi(median_separators(&values, 4).unwrap());
+        let median = mi(learn_separators(SeparatorMethod::Median, &values, 4).unwrap());
         assert!(
             supervised > median + 0.3,
             "supervised MI {supervised} should clearly beat median MI {median}"

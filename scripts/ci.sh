@@ -72,8 +72,21 @@ if [[ $quick -eq 0 ]]; then
     echo "==> supervised pool: panic-injection fuzz at workers {1,2,8} (release)"
     PANIC_FUZZ_ITERS=250 cargo test -q --release --test panic_injection
 
-    echo "==> dirty-data quarantine: repro quality --faults smoke"
-    cargo run -q --release -p sms-bench --bin repro -- quality --faults
+    echo "==> dirty-data quarantine: repro quality --faults --metrics smoke"
+    cargo run -q --release -p sms-bench --bin repro -- \
+        quality --faults "--metrics=$metrics_tmp/quality.prom" \
+        > "$metrics_tmp/quality.out"
+    grep -q '^metrics_json: ' "$metrics_tmp/quality.out"
+    cargo run -q --release -p sms-bench --bin repro -- \
+        validate-metrics "$metrics_tmp/quality.out"
+    # The quality block counts every sample of every house, rejected
+    # houses included, as the engine block does.
+    quality_in=$(awk '$1 == "sms_quality_samples_in" { print $2 }' "$metrics_tmp/quality.prom")
+    engine_in=$(awk '$1 == "sms_engine_samples_in" { print $2 }' "$metrics_tmp/quality.prom")
+    if [[ -z "$quality_in" || "$quality_in" != "$engine_in" ]]; then
+        echo "sms_quality_samples_in '$quality_in' != sms_engine_samples_in '$engine_in'" >&2
+        exit 1
+    fi
 
     echo "==> quality sanitizer + supervised pool bench smoke (down-scaled)"
     BENCH_QUALITY_SMOKE=1 cargo bench -q -p sms-bench --bench quality
@@ -111,6 +124,7 @@ if [[ $quick -eq 0 ]]; then
     grep -q '^# TYPE sms_durable_wal_appends counter$' "$metrics_tmp/crash.prom"
     grep -q '^# TYPE sms_durable_shard_failovers counter$' "$metrics_tmp/crash.prom"
     grep -q 'byte-for-byte' "$metrics_tmp/crash.out"
+    grep -q '^sms_engine_house_samples_count 30$' "$metrics_tmp/crash.prom"
     cargo run -q --release -p sms-bench --bin repro -- \
         validate-metrics "$metrics_tmp/crash.out"
 

@@ -215,7 +215,7 @@ fn mutation_fuzz_recovers_the_uncorrupted_stream() {
         let mut decoded: HashSet<i64> = HashSet::new();
         let mut offset = 0usize;
         for len in inj.chunk_lens(wire.len(), 97) {
-            for msg in gw.ingest(&wire[offset..offset + len]).unwrap() {
+            for msg in gw.ingest(&wire[offset..offset + len]) {
                 if let SensorMessage::Window(w) = msg {
                     decoded.insert(w.window_start);
                 }
@@ -254,8 +254,8 @@ fn every_chunk_split_boundary_decodes_identically() {
     for split in 1..wire.len() {
         let mut gw = MeterIngest::new(IngestConfig::default());
         let mut n = 0usize;
-        n += gw.ingest(&wire[..split]).unwrap().len();
-        n += gw.ingest(&wire[split..]).unwrap().len();
+        n += gw.ingest(&wire[..split]).len();
+        n += gw.ingest(&wire[split..]).len();
         assert_eq!(n, frames.len(), "split at byte {split}");
         let s = gw.stats();
         assert_eq!(s.frames_corrupt + s.frames_oversized + s.resyncs, 0, "split at byte {split}");

@@ -62,7 +62,6 @@ fn populated() -> EngineStats {
             panics: 29,
             retries: 30,
             gave_up: 31,
-            deadline_exceeded: 32,
             respawns: 33,
             job_attempts: hist(&[1, 1, 2]),
         }),
@@ -161,7 +160,7 @@ fn to_json_pins_every_block_byte_for_byte() {
         "\"eval\":{\"cells\":21,\"folds\":22,\"train_secs\":2.5,\"test_secs\":3.5,",
         "\"workers\":23,\"max_queue_depth\":24},",
         "\"pool\":{\"workers\":25,\"jobs\":26,\"queue_capacity\":27,\"max_queue_depth\":28,",
-        "\"panics\":29,\"retries\":30,\"gave_up\":31,\"deadline_exceeded\":32,\"respawns\":33},",
+        "\"panics\":29,\"retries\":30,\"gave_up\":31,\"respawns\":33},",
         "\"quality\":{\"houses\":34,\"quarantined\":35,\"samples_in\":36,",
         "\"samples_out\":37,\"defects\":{\"non_finite\":38,\"negative_power\":39,",
         "\"duplicate_timestamps\":40,\"out_of_order\":41,\"gaps\":42,\"reset_spikes\":43},",

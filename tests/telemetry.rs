@@ -194,7 +194,6 @@ fn to_json_preserves_legacy_keys_byte_for_byte() {
             panics: 2,
             retries: 2,
             gave_up: 0,
-            deadline_exceeded: 0,
             respawns: 1,
             ..PoolStats::default()
         }),
@@ -233,7 +232,7 @@ fn to_json_preserves_legacy_keys_byte_for_byte() {
         "\"eval\":{\"cells\":26,\"folds\":260,\"train_secs\":1.5,\"test_secs\":2.5,",
         "\"workers\":4,\"max_queue_depth\":9},",
         "\"pool\":{\"workers\":4,\"jobs\":7,\"queue_capacity\":64,\"max_queue_depth\":7,",
-        "\"panics\":2,\"retries\":2,\"gave_up\":0,\"deadline_exceeded\":0,\"respawns\":1},",
+        "\"panics\":2,\"retries\":2,\"gave_up\":0,\"respawns\":1},",
         "\"quality\":{\"houses\":7,\"quarantined\":1,\"samples_in\":3500,",
         "\"samples_out\":3400,\"defects\":{\"non_finite\":1,\"negative_power\":2,",
         "\"duplicate_timestamps\":3,\"out_of_order\":4,\"gaps\":5,\"reset_spikes\":6},",
