@@ -6,7 +6,7 @@
 //! workspace uses (see `compat/README.md`). For `crossbeam` that is
 //! [`channel::bounded`]: an MPMC channel with cloneable
 //! [`channel::Sender`]/[`channel::Receiver`] ends, a blocking `send`, a
-//! blocking `recv`, a non-blocking `try_recv`, and a blocking `iter()`.
+//! blocking `recv`, and a blocking `iter()`.
 //!
 //! The channel is a `Mutex` + two-`Condvar` ring buffer — simple rather than
 //! lock-free, but it preserves the semantics its callers rely on: FIFO
@@ -63,15 +63,6 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// Channel is currently empty but senders remain.
-        Empty,
-        /// Channel is empty and every sender is gone.
-        Disconnected,
-    }
-
     /// Creates a channel holding at most `cap` in-flight messages; `send`
     /// blocks (backpressure) while the channel is full.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
@@ -120,20 +111,6 @@ pub mod channel {
                     return Err(RecvError);
                 }
                 state = self.inner.not_empty.wait(state).unwrap();
-            }
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.inner.state.lock().unwrap();
-            match state.queue.pop_front() {
-                Some(msg) => {
-                    drop(state);
-                    self.inner.not_full.notify_one();
-                    Ok(msg)
-                }
-                None if state.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
             }
         }
 
@@ -199,7 +176,7 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, TryRecvError};
+    use super::channel::{bounded, RecvError};
     use std::time::Duration;
 
     #[test]
@@ -211,7 +188,7 @@ mod tests {
         drop(tx);
         let got: Vec<i32> = rx.iter().collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        assert_eq!(rx.recv(), Err(RecvError));
     }
 
     #[test]

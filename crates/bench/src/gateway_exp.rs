@@ -51,6 +51,9 @@ const MAX_CHUNK: usize = 211;
 /// Pause between chunks for meters drawn as slow writers.
 const SLOW_WRITER_PAUSE: Duration = Duration::from_millis(2);
 
+/// Longest a client waits for its next ack after the half-close.
+const ACK_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// The authentication token the experiment's gateway and clients share.
 const EXP_TOKEN: &[u8] = b"smg-load-exp";
 
@@ -206,8 +209,9 @@ fn build_fleet_load(scale: Scale, meters: usize, faults: bool) -> Result<Vec<Met
     Ok(loads)
 }
 
-/// Reads whatever cumulative acks are available without blocking, invoking
-/// `on_ack` for each complete 8-byte count. Returns `Ok(true)` on EOF.
+/// Reads cumulative acks until the socket has none ready (non-blocking) or
+/// its read times out (blocking), invoking `on_ack` for each complete
+/// 8-byte count. Returns `Ok(true)` on EOF.
 fn drain_acks(
     conn: &mut TcpStream,
     partial: &mut Vec<u8>,
@@ -330,16 +334,20 @@ fn drive_meter(addr: SocketAddr, load: &MeterLoad, seed: u64) -> Result<ConnOutc
     }
     conn.shutdown(std::net::Shutdown::Write).ok();
 
-    // Server acks everything it decodes, then EOFs our read side.
-    loop {
-        let eof = drain_acks(&mut conn, &mut partial, &mut |v, at| {
-            record(v, at, &mut last_ack, &sent_at, &mut latencies_ms)
-        })
-        .map_err(|e| io_err("ack drain", e))?;
-        if eof {
-            break;
-        }
-        std::thread::sleep(Duration::from_micros(200));
+    // Server acks everything it decodes, then EOFs our read side: block
+    // on each read, so an ack's latency is the gateway's, not a poll
+    // interval's. A read that times out ends the drain short of EOF.
+    conn.set_nonblocking(false).map_err(|e| io_err("set_nonblocking", e))?;
+    conn.set_read_timeout(Some(ACK_TIMEOUT)).map_err(|e| io_err("set_read_timeout", e))?;
+    let eof = drain_acks(&mut conn, &mut partial, &mut |v, at| {
+        record(v, at, &mut last_ack, &sent_at, &mut latencies_ms)
+    })
+    .map_err(|e| io_err("ack drain", e))?;
+    if !eof {
+        return Err(Error::Engine(format!(
+            "meter {}: no gateway EOF within {ACK_TIMEOUT:?} of the half-close",
+            load.meter
+        )));
     }
 
     Ok(ConnOutcome {

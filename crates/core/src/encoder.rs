@@ -170,12 +170,10 @@ impl OnlineEncoder {
 
 /// Wire messages from sensor to aggregation server.
 ///
-/// The size skew between variants is deliberate: a table (which now carries
-/// its inline 32-slot `FlatSeparators`) is a rare control message built on
-/// the stack, handed to the wire encoder and dropped — messages are never
-/// stored in bulk, so boxing would buy nothing and cost an allocation on
-/// the (re)issue path.
-#[allow(clippy::large_enum_variant)]
+/// Servers store them in bulk: the gateway's output keeps one per decoded
+/// frame. A table keeps its branchless search form behind a `Box`, so a
+/// message takes 112 bytes on 64-bit targets, not the 376 an inline copy
+/// of the 32 padded separator slots made it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SensorMessage {
     /// A (re)issued lookup table; subsequent symbols use it.
@@ -305,9 +303,6 @@ pub struct SensorPipeline {
     state: PipelineState,
 }
 
-// One state per pipeline (not collection-stored), so the variant size skew
-// from the table-carrying encoder is irrelevant.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum PipelineState {
     Training { buffer: Vec<(Timestamp, f64)>, started: Option<Timestamp> },
@@ -498,6 +493,15 @@ mod tests {
         assert_eq!(windows[0].window_start, 0);
         assert_eq!(windows.last().unwrap().window_start, 1140);
         assert!(!p.is_training());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_message_is_small_enough_to_store_per_frame() {
+        // A window needs 16 bytes; a table's three `Vec`s, two bounds and
+        // boxed search form set the size of every message.
+        assert_eq!(std::mem::size_of::<EncodedWindow>(), 16);
+        assert_eq!(std::mem::size_of::<SensorMessage>(), 112);
     }
 
     #[test]

@@ -31,20 +31,23 @@
 //!
 //! ## Thread model
 //!
-//! One **acceptor** thread owns the non-blocking listener: it accepts,
-//! enforces the connection cap, and hands sockets to a bounded channel. The
-//! **session workers** run as jobs on the existing supervised
-//! [`crate::pool`] (`run_indexed_supervised_with`), so a panicking handler
-//! is caught, counted, and respawned by the same machinery that protects
-//! fleet encodes; each worker multiplexes its claimed sessions with
-//! non-blocking reads. The `smg-runtime` thread that starts the pool is
-//! session worker 0 itself, and the pool spawns the other `workers − 1`.
-//! An optional **HTTP/1.1 sidecar** thread serves
-//! `/metrics` (Prometheus text), `/healthz`, and `/readyz` with a
-//! hand-rolled parser. [`Gateway::shutdown`] stops the acceptor, flips
-//! `/readyz` to 503, drains in-flight sessions until EOF or the drain
-//! timeout, and returns the fleet output plus a final [`GatewayStats`]
-//! block.
+//! There is no acceptor thread. The **session workers** run as jobs on the
+//! existing supervised [`crate::pool`] (`run_indexed_supervised_with`), so
+//! a panicking handler is caught, counted, and respawned by the same
+//! machinery that protects fleet encodes. Each worker blocks in `poll(2)`
+//! on the shared non-blocking listener and on its own sessions, and wakes
+//! only when a connection arrives, bytes land, or a deadline it computed
+//! passes: a session's idle timeout, a throttled session's token refill,
+//! or the drain deadline. Whichever worker wakes first on the listener
+//! accepts, enforcing the connection cap. The `smg-runtime` thread that
+//! starts the pool is session worker 0 itself, and the pool spawns the
+//! other `workers − 1`. Off Linux the wait is a 500 µs sleep after which
+//! every socket counts as ready. An optional **HTTP/1.1 sidecar** thread
+//! blocks in `accept` and serves `/metrics` (Prometheus text), `/healthz`,
+//! and `/readyz` with a hand-rolled parser. [`Gateway::shutdown`] wakes
+//! every worker, which stops accepting; it flips `/readyz` to 503, drains
+//! in-flight sessions until EOF or the drain timeout, and returns the
+//! fleet output plus a final [`GatewayStats`] block.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -53,8 +56,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 
 use crate::encoder::SensorMessage;
 use crate::engine::EngineStats;
@@ -95,7 +96,9 @@ pub fn encode_handshake(meter: u64, token: &[u8]) -> Vec<u8> {
 pub struct GatewayConfig {
     /// TCP port for meter connections (`0` = ephemeral, the default).
     pub port: u16,
-    /// Session-worker threads claiming connections from the acceptor.
+    /// Session-worker threads. Each waits on the listener and on its own
+    /// sessions, accepts when a connection arrives, and serves the
+    /// sessions it accepted.
     pub workers: usize,
     /// Most simultaneously active connections; further accepts are counted
     /// as rejected and closed immediately.
@@ -203,10 +206,11 @@ impl GatewayConfig {
 /// as `sms_gateway_*` Prometheus series.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GatewayStats {
-    /// Connections accepted and handed to a session worker.
+    /// Connections a session worker accepted under the connection cap.
     pub connections_accepted: u64,
-    /// Connections refused at accept time (connection cap, or arriving
-    /// while draining).
+    /// Connections closed at accept time because `max_connections`
+    /// sessions were active. A connection arriving during the drain is
+    /// never accepted, so it counts in neither.
     pub connections_rejected: u64,
     /// Currently open sessions (gauge; `0` in a final report).
     pub connections_active: u64,
@@ -236,9 +240,9 @@ pub struct GatewayStats {
 crate::telemetry::declare_metrics! {
     GatewayStats as gateway {
         add connections_accepted, "connections",
-            "Meter connections accepted and handed to a session worker.";
+            "Meter connections a session worker accepted under the connection cap.";
         add connections_rejected, "connections",
-            "Connections refused at accept time (cap reached or draining).";
+            "Connections closed at accept time because the connection cap was reached.";
         set connections_active, "connections", "Currently open meter sessions.";
         add auth_failures, "handshakes", "Handshakes presenting a wrong auth token.";
         add handshake_errors, "handshakes", "Malformed handshakes (bad magic or oversized token).";
@@ -264,7 +268,7 @@ impl GatewayStats {
     }
 }
 
-/// Live counters shared by acceptor, workers, and sidecar.
+/// Live counters shared by the session workers and the sidecar.
 #[derive(Default)]
 struct Counters {
     connections_accepted: AtomicU64,
@@ -421,8 +425,16 @@ impl IngestShards {
 
 struct Shared {
     config: GatewayConfig,
-    /// Set by [`Gateway::shutdown`]: acceptor stops, workers drain.
+    /// The non-blocking meter listener, in every worker's wait until
+    /// shutdown; whichever worker wakes first accepts.
+    listener: TcpListener,
+    /// Ends every worker's wait when shutdown starts.
+    waker: sys::Waker,
+    /// Set by [`Gateway::shutdown`]: workers stop accepting and drain.
     shutdown: AtomicBool,
+    /// Set by [`Gateway::shutdown`] once the drain is over: the sidecar
+    /// stops at its next accept.
+    sidecar_stop: AtomicBool,
     /// Set by [`Gateway::set_degraded`]: the instance still serves (e.g.
     /// durable-store shards failed over) but `/readyz` reports `degraded`
     /// so operators see impaired capacity without pulling the node.
@@ -480,6 +492,12 @@ impl TokenBucket {
         if !self.unlimited() {
             self.tokens -= n as f64; // may dip negative: the burst was spent
         }
+    }
+
+    /// When a limited bucket next holds a whole token, counted from its
+    /// last refill.
+    fn refill_at(&self) -> Instant {
+        self.refilled_at + Duration::from_secs_f64((1.0 - self.tokens).max(0.0) / self.rate)
     }
 }
 
@@ -557,6 +575,10 @@ struct Session {
     throttled: bool,
     bytes_in: u64,
     last_activity: Instant,
+    /// When the session must be pumped even if its socket stays quiet: its
+    /// idle deadline, or a throttled bucket's refill if that comes first.
+    /// Set by [`Session::arm`] before each wait.
+    due: Option<Instant>,
     write_buf: Vec<u8>,
 }
 
@@ -575,6 +597,7 @@ impl Session {
             throttled: false,
             bytes_in: 0,
             last_activity: now,
+            due: None,
             write_buf: Vec::new(),
         })
     }
@@ -617,53 +640,71 @@ impl Session {
         true
     }
 
-    /// One multiplexer pass over this session. Returns `Some(reason)` when
-    /// the session is done, `None` to keep it registered. `made_progress`
-    /// is set when bytes moved (lets the worker skip its idle sleep).
+    /// The session's entry in its worker's next wait, and its [`due`]
+    /// instant: `POLLIN` unless its token bucket is empty, `POLLOUT` while
+    /// acks are queued.
+    ///
+    /// Rate limiting: an empty bucket pauses reads (the kernel's TCP window
+    /// throttles the sender); the episode is surfaced as one typed error,
+    /// counted, never silently dropped. Draining sessions bypass the
+    /// limiter so shutdown is bounded by drain_timeout, not by the trickle
+    /// rate.
+    ///
+    /// [`due`]: Session::due
+    fn arm(&mut self, shared: &Shared, now: Instant, draining: bool) -> sys::PollFd {
+        let throttled = !draining && !self.bucket.ready(now);
+        if throttled && !self.throttled {
+            let err = Error::RateLimited { meter: self.meter() };
+            debug_assert!(!err.to_string().is_empty());
+            shared.counters.rate_limit_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.throttled = throttled;
+        self.due = self.last_activity.checked_add(shared.config.idle_timeout);
+        let mut events = 0;
+        if throttled {
+            self.due = earliest(self.due, Some(self.bucket.refill_at()));
+        } else {
+            events |= sys::POLLIN;
+        }
+        if !self.write_buf.is_empty() {
+            events |= sys::POLLOUT;
+        }
+        sys::PollFd::new(&self.stream, events)
+    }
+
+    /// `Some(Idle)` once the session has been silent for the idle timeout.
+    fn idle(&self, shared: &Shared, now: Instant) -> Option<CloseReason> {
+        (now.saturating_duration_since(self.last_activity) >= shared.config.idle_timeout)
+            .then_some(CloseReason::Idle)
+    }
+
+    /// Moves the session on after a wait that found it ready or due:
+    /// flushes queued acks, then reads once unless throttled. A hang-up or
+    /// error is read even when throttled, so a dead peer closes at once.
+    /// One read is enough: a socket with more bytes than the scratch holds
+    /// is still ready at the next wait. Returns `Some(reason)` when the
+    /// session is done, `None` to keep it registered.
     fn pump(
         &mut self,
         shared: &Shared,
         scratch: &mut [u8],
         now: Instant,
-        draining: bool,
-        made_progress: &mut bool,
+        hangup: bool,
     ) -> Option<CloseReason> {
         if !self.flush() {
             return Some(CloseReason::IoError);
         }
-
-        // Rate limiting: an empty bucket pauses reads (the kernel's TCP
-        // window throttles the sender); the episode is surfaced as one
-        // typed error, counted, never silently dropped. Draining sessions
-        // bypass the limiter so shutdown is bounded by drain_timeout, not
-        // by the trickle rate.
-        if !draining && !self.bucket.ready(now) {
-            if !self.throttled {
-                self.throttled = true;
-                let err = Error::RateLimited { meter: self.meter() };
-                debug_assert!(!err.to_string().is_empty());
-                shared.counters.rate_limit_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            if now.saturating_duration_since(self.last_activity) > shared.config.idle_timeout {
-                return Some(CloseReason::Idle);
-            }
-            return None;
+        if self.throttled && !hangup {
+            return self.idle(shared, now);
         }
-        self.throttled = false;
 
         let n = match self.stream.read(scratch) {
             Ok(0) => return Some(CloseReason::Eof),
             Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if now.saturating_duration_since(self.last_activity) > shared.config.idle_timeout {
-                    return Some(CloseReason::Idle);
-                }
-                return None;
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return self.idle(shared, now),
             Err(e) if e.kind() == ErrorKind::Interrupted => return None,
             Err(_) => return Some(CloseReason::IoError),
         };
-        *made_progress = true;
         self.last_activity = now;
         self.bucket.consume(n as u64);
         shared.counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
@@ -689,6 +730,9 @@ impl Session {
             HandshakeStep::Accept { meter, rest } => {
                 self.state = SessionState::Streaming { meter, acked: 0 };
                 self.write_buf.push(HANDSHAKE_ACK);
+                if !self.flush() {
+                    return Some(CloseReason::IoError);
+                }
                 // Frame bytes may trail the handshake in the same read.
                 if rest.is_empty() {
                     None
@@ -725,147 +769,273 @@ impl Session {
         }
         None
     }
+
+    /// Counts why the session ended, flushes its queued acks (a clean
+    /// close lets the client read every one), and closes it.
+    fn close(&mut self, shared: &Shared, reason: CloseReason) {
+        let counters = &shared.counters;
+        let counter = match reason {
+            CloseReason::AuthFailure => Some(&counters.auth_failures),
+            CloseReason::HandshakeError => Some(&counters.handshake_errors),
+            CloseReason::Quota(err) => {
+                debug_assert!(matches!(err, Error::QuotaExceeded { .. }));
+                Some(&counters.quota_closed)
+            }
+            CloseReason::Idle => Some(&counters.idle_closed),
+            CloseReason::Eof | CloseReason::IoError | CloseReason::ForcedDrain => None,
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        self.flush();
+        self.stream.shutdown(std::net::Shutdown::Both).ok();
+        counters.connections_active.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-/// One session worker: claims connections from the acceptor channel and
-/// multiplexes them until shutdown (plus drain) completes.
-fn session_worker(shared: &Arc<Shared>, conn_rx: &Receiver<TcpStream>) {
-    let mut sessions: Vec<Session> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
-    let mut acceptor_gone = false;
-    loop {
-        // Claim newly accepted connections without blocking.
-        loop {
-            match conn_rx.try_recv() {
-                Ok(stream) => {
-                    let now = Instant::now();
-                    match Session::new(stream, shared, now) {
-                        Ok(s) => sessions.push(s),
-                        Err(_) => {
-                            shared.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    acceptor_gone = true;
-                    break;
-                }
-            }
+/// The earlier of two optional instants; `None` means never.
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Readiness waits. On Linux a worker blocks in `poll(2)` on its sockets.
+/// Elsewhere the wait is a 500 µs sleep after which every entry counts as
+/// ready, and the worker re-reads the shutdown flag every pass.
+mod sys {
+    use std::ffi::{c_int, c_short};
+    #[cfg(target_os = "linux")]
+    use std::io::Write;
+    #[cfg(target_os = "linux")]
+    use std::os::unix::{io::AsRawFd, net::UnixStream};
+    use std::time::Duration;
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    pub const POLLERR: c_short = 0x008;
+    pub const POLLHUP: c_short = 0x010;
+
+    /// One entry of a wait, laid out as Linux's `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: c_int,
+        events: c_short,
+        /// What the wait found ready (errors and hang-ups always count).
+        pub revents: c_short,
+    }
+
+    #[cfg(target_os = "linux")]
+    impl PollFd {
+        pub fn new(socket: &impl AsRawFd, events: c_short) -> Self {
+            PollFd { fd: socket.as_raw_fd(), events, revents: 0 }
+        }
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    impl PollFd {
+        pub fn new<S>(_socket: &S, events: c_short) -> Self {
+            PollFd { fd: -1, events, revents: 0 }
+        }
+    }
+
+    /// Blocks until an entry of `fds` is ready or `timeout` passes (`None`
+    /// waits for readiness alone), rounding the timeout up to whole
+    /// milliseconds so a deadline has passed when it returns.
+    #[cfg(target_os = "linux")]
+    #[allow(unsafe_code)]
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) {
+        use std::ffi::c_ulong;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        }
+        let ms = timeout
+            .map_or(-1, |t| t.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int);
+        // SAFETY: `PollFd` is `#[repr(C)]` with the fields of Linux's
+        // `struct pollfd` in order (int fd, short events, short revents),
+        // and `nfds_t` is `unsigned long`. `fds` is a live slice,
+        // exclusively borrowed for the whole call, so the kernel reads and
+        // writes exactly its `fds.len()` entries and nothing else. The
+        // return value is ignored: a failure (`EINTR` when a signal lands)
+        // leaves every `revents` at the 0 `PollFd::new` wrote, which the
+        // caller treats as a spurious wake, re-checking its deadlines.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) {
+        let nap = Duration::from_micros(500);
+        std::thread::sleep(timeout.map_or(nap, |t| t.min(nap)));
+        for fd in fds {
+            fd.revents = fd.events;
+        }
+    }
+
+    /// The shutdown wake-up: a socket pair whose read end sits in every
+    /// worker's wait and is never drained, so one byte keeps it readable.
+    #[cfg(target_os = "linux")]
+    pub struct Waker {
+        rx: UnixStream,
+        tx: UnixStream,
+    }
+
+    #[cfg(target_os = "linux")]
+    impl Waker {
+        pub fn new() -> std::io::Result<Self> {
+            let (tx, rx) = UnixStream::pair()?;
+            Ok(Waker { rx, tx })
         }
 
-        let draining = shared.shutdown.load(Ordering::Relaxed);
-        let force_close =
-            draining && shared.drain_deadline().map(|d| Instant::now() >= d).unwrap_or(false);
-        let mut made_progress = false;
+        pub fn entry(&self) -> PollFd {
+            PollFd::new(&self.rx, POLLIN)
+        }
+
+        pub fn wake(&self) {
+            (&self.tx).write_all(&[1]).ok();
+        }
+    }
+
+    /// Off Linux the wake-up is an entry that is never ready.
+    #[cfg(not(target_os = "linux"))]
+    pub struct Waker;
+
+    #[cfg(not(target_os = "linux"))]
+    impl Waker {
+        pub fn new() -> std::io::Result<Self> {
+            Ok(Waker)
+        }
+
+        pub fn entry(&self) -> PollFd {
+            PollFd::new(self, 0)
+        }
+
+        pub fn wake(&self) {}
+    }
+}
+
+/// One session worker: waits until the listener or one of its sessions is
+/// ready or due, accepts and pumps, until shutdown (plus drain) completes.
+fn session_worker(shared: &Shared) {
+    let mut sessions: Vec<Session> = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut fds: Vec<sys::PollFd> = Vec::new();
+    loop {
+        let draining = shared.shutdown.load(Ordering::SeqCst);
+        if draining && sessions.is_empty() {
+            return;
+        }
+        // Until shutdown the wait covers the wake-up and the listener; once
+        // draining, only the sessions, until the drain deadline.
         let now = Instant::now();
+        fds.clear();
+        let mut due = None;
+        if draining {
+            due = shared.drain_deadline();
+        } else {
+            fds.push(shared.waker.entry());
+            fds.push(sys::PollFd::new(&shared.listener, sys::POLLIN));
+        }
+        let first_session = fds.len();
+        for s in &mut sessions {
+            fds.push(s.arm(shared, now, draining));
+            due = earliest(due, s.due);
+        }
+        sys::wait(&mut fds, due.map(|t| t.saturating_duration_since(now)));
+
+        let now = Instant::now();
+        if draining && shared.drain_deadline().is_some_and(|d| now >= d) {
+            // Flush whatever acks are pending; anything unacked after the
+            // deadline is abandoned, never falsely acknowledged.
+            for mut s in sessions.drain(..) {
+                s.close(shared, CloseReason::ForcedDrain);
+            }
+            continue;
+        }
+        let mut revents = fds[first_session..].iter().map(|fd| fd.revents);
         sessions.retain_mut(|s| {
-            let reason = if force_close {
-                // Flush whatever acks are pending; anything unacked after
-                // the deadline is abandoned, never falsely acknowledged.
-                s.flush();
-                Some(CloseReason::ForcedDrain)
-            } else {
-                s.pump(shared, &mut scratch, now, draining, &mut made_progress)
-            };
-            match reason {
+            let ready = revents.next().expect("one poll entry per session");
+            if ready == 0 && s.due.is_none_or(|d| now < d) {
+                return true;
+            }
+            let hangup = ready & (sys::POLLERR | sys::POLLHUP) != 0;
+            match s.pump(shared, &mut scratch, now, hangup) {
                 None => true,
-                Some(r) => {
-                    match r {
-                        CloseReason::AuthFailure => {
-                            shared.counters.auth_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        CloseReason::HandshakeError => {
-                            shared.counters.handshake_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        CloseReason::Quota(err) => {
-                            debug_assert!(matches!(err, Error::QuotaExceeded { .. }));
-                            shared.counters.quota_closed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        CloseReason::Idle => {
-                            shared.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        CloseReason::Eof | CloseReason::IoError | CloseReason::ForcedDrain => {}
-                    }
-                    // A clean close lets the client read every queued ack.
-                    s.flush();
-                    s.stream.shutdown(std::net::Shutdown::Both).ok();
-                    shared.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
+                Some(reason) => {
+                    s.close(shared, reason);
                     false
                 }
             }
         });
-
-        if acceptor_gone && sessions.is_empty() {
-            break;
-        }
-        if !made_progress {
-            std::thread::sleep(Duration::from_micros(500));
+        if !draining && fds[1].revents != 0 {
+            accept_ready(shared, &mut sessions, &mut scratch);
         }
     }
 }
 
-/// The acceptor loop: non-blocking accepts, connection cap, handoff to the
-/// worker channel. Exits when the shutdown flag is set.
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener, conn_tx: Sender<TcpStream>) {
-    listener.set_nonblocking(true).expect("loopback listener supports non-blocking");
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let active = shared.counters.connections_active.load(Ordering::Relaxed);
-                if active >= shared.config.max_connections as u64 {
-                    shared.counters.connections_rejected.fetch_add(1, Ordering::Relaxed);
-                    drop(stream); // RST/EOF to the peer
-                    continue;
-                }
-                shared.counters.connections_active.fetch_add(1, Ordering::Relaxed);
-                shared.counters.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                if conn_tx.send(stream).is_err() {
-                    // Every worker died (supervisor respawns make this all
-                    // but impossible); undo the accept accounting.
-                    shared.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
-                    break;
-                }
+/// Accepts every pending connection the cap admits, and pumps each new
+/// session once, since its handshake has often arrived with it. Another
+/// worker may have taken the connection that woke this one: `WouldBlock`
+/// ends the pass, as does any other accept error, left to the next wake.
+fn accept_ready(shared: &Shared, sessions: &mut Vec<Session>, scratch: &mut [u8]) {
+    let counters = &shared.counters;
+    let cap = shared.config.max_connections as u64;
+    loop {
+        let stream = match shared.listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        // Reserve a slot before counting the accept, so the cap holds
+        // exactly while several workers accept. Relaxed: the count
+        // publishes no other data, and read-modify-writes of one atomic
+        // are totally ordered.
+        let reserved = counters
+            .connections_active
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < cap).then_some(n + 1))
+            .is_ok();
+        if !reserved {
+            counters.connections_rejected.fetch_add(1, Ordering::Relaxed);
+            continue; // dropping the stream closes it: RST/EOF to the peer
+        }
+        counters.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        let now = Instant::now();
+        let mut session = match Session::new(stream, shared, now) {
+            Ok(session) => session,
+            Err(_) => {
+                counters.connections_active.fetch_sub(1, Ordering::Relaxed);
+                continue;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        };
+        match session.pump(shared, scratch, now, false) {
+            None => sessions.push(session),
+            Some(reason) => session.close(shared, reason),
         }
     }
 }
 
 /// The HTTP/1.1 sidecar: `/metrics`, `/healthz`, `/readyz`. One request per
 /// connection, hand-rolled request-line parse, always `Connection: close`.
-fn sidecar_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    listener.set_nonblocking(true).expect("loopback listener supports non-blocking");
-    loop {
-        let draining = shared.shutdown.load(Ordering::Relaxed);
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                stream.set_nonblocking(false).ok();
-                stream.set_read_timeout(Some(Duration::from_millis(500))).ok();
-                let mut buf = [0u8; 1024];
-                let n = match stream.read(&mut buf) {
-                    Ok(n) => n,
-                    Err(_) => continue,
-                };
-                let (status, content_type, body) = route_http(&buf[..n], shared, draining);
-                let response = format!(
-                    "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len(),
-                );
-                stream.write_all(response.as_bytes()).ok();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if draining {
-                    break; // served any last scrape attempts; stop
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+/// It blocks in `accept`, so it serves `/readyz` 503 throughout the drain;
+/// [`Gateway::shutdown`] stops it after the drain with the stop flag and a
+/// connection of its own.
+fn sidecar_loop(shared: &Shared, listener: &TcpListener) {
+    for stream in listener.incoming() {
+        if shared.sidecar_stop.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(mut stream) = stream else { continue };
+        stream.set_read_timeout(Some(Duration::from_millis(500))).ok();
+        let mut buf = [0u8; 1024];
+        let Ok(n) = stream.read(&mut buf) else { continue };
+        let draining = shared.shutdown.load(Ordering::Relaxed);
+        let (status, content_type, body) = route_http(&buf[..n], shared, draining);
+        let response = format!(
+            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len(),
+        );
+        stream.write_all(response.as_bytes()).ok();
     }
 }
 
@@ -946,19 +1116,23 @@ pub struct Gateway {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     runtime: Option<JoinHandle<PoolStats>>,
-    acceptor: Option<JoinHandle<()>>,
     sidecar: Option<JoinHandle<()>>,
 }
 
 impl Gateway {
-    /// Binds the listeners and starts the acceptor, the supervised session
-    /// workers, and (when configured) the HTTP sidecar.
+    /// Binds the listeners and starts the supervised session workers and
+    /// (when configured) the HTTP sidecar.
     pub fn start(config: GatewayConfig) -> Result<Gateway> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))
             .map_err(|e| Error::Engine(format!("gateway bind failed: {e}")))?;
         let addr = listener
             .local_addr()
             .map_err(|e| Error::Engine(format!("gateway local_addr failed: {e}")))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| Error::Engine(format!("gateway set_nonblocking failed: {e}")))?;
+        let waker =
+            sys::Waker::new().map_err(|e| Error::Engine(format!("gateway waker failed: {e}")))?;
         let metrics_listener = if config.http_metrics {
             Some(
                 TcpListener::bind(("127.0.0.1", 0))
@@ -980,22 +1154,15 @@ impl Gateway {
         let ingest_shards = config.ingest_shards;
         let shared = Arc::new(Shared {
             config,
+            listener,
+            waker,
             shutdown: AtomicBool::new(false),
+            sidecar_stop: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             shutdown_at: Mutex::new(None),
             counters: Counters::default(),
             shards: IngestShards::new(ingest_shards, ingest)?,
         });
-
-        let (conn_tx, conn_rx) = channel::bounded::<TcpStream>(workers * 8);
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("smg-acceptor".into())
-                .spawn(move || acceptor_loop(&shared, &listener, conn_tx))
-                .map_err(|e| Error::Engine(format!("acceptor spawn failed: {e}")))?
-        };
 
         // The session handlers run as jobs on the supervised pool: one job
         // per worker loop, so a panicking handler is caught, counted in
@@ -1012,7 +1179,7 @@ impl Gateway {
                         &PoolConfig::with_workers(workers),
                         &retry,
                         || (),
-                        |(), _idx, _attempt| session_worker(&shared, &conn_rx),
+                        |(), _idx, _attempt| session_worker(&shared),
                     );
                     report.stats
                 })
@@ -1030,14 +1197,7 @@ impl Gateway {
             None => None,
         };
 
-        Ok(Gateway {
-            shared,
-            addr,
-            metrics_addr,
-            runtime: Some(runtime),
-            acceptor: Some(acceptor),
-            sidecar,
-        })
+        Ok(Gateway { shared, addr, metrics_addr, runtime: Some(runtime), sidecar })
     }
 
     /// The meter-facing TCP address (loopback, ephemeral port by default).
@@ -1077,15 +1237,20 @@ impl Gateway {
         let drain_started = Instant::now();
         *self.shared.shutdown_at.lock().unwrap() = Some(drain_started);
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            h.join().ok();
-        }
+        self.shared.waker.wake();
         let pool_stats = match self.runtime.take() {
             Some(h) => h.join().unwrap_or_default(),
             None => PoolStats::default(),
         };
-        if let Some(h) = self.sidecar.take() {
-            h.join().ok();
+        if let (Some(h), Some(addr)) = (self.sidecar.take(), self.metrics_addr) {
+            // The drain is over: the stop flag ends the sidecar at the
+            // accept this connection completes. Should the loopback connect
+            // fail, the thread stays parked in accept rather than hang
+            // shutdown.
+            self.shared.sidecar_stop.store(true, Ordering::SeqCst);
+            if TcpStream::connect(addr).is_ok() {
+                h.join().ok();
+            }
         }
         let drain_secs = drain_started.elapsed().as_secs_f64();
         let (output, ingest) = self.shared.shards.take_report();
@@ -1149,6 +1314,81 @@ mod tests {
         }
         assert_eq!(last, expect_frames);
         last
+    }
+
+    /// A handshaken connection that then sends nothing. Its reads time out
+    /// after `limit`, so a wait that never wakes fails a test instead of
+    /// hanging it.
+    fn silent_session(addr: SocketAddr, limit: Duration) -> TcpStream {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(limit)).unwrap();
+        conn.write_all(&encode_handshake(5, b"smg-local-dev")).unwrap();
+        let mut ack = [0u8; 1];
+        conn.read_exact(&mut ack).unwrap();
+        assert_eq!(ack[0], HANDSHAKE_ACK);
+        conn
+    }
+
+    /// Reads until the server closes `conn`; a read timeout fails the test.
+    fn assert_closed_by_server(conn: &mut TcpStream) {
+        let mut buf = [0u8; 8];
+        match conn.read(&mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            other => panic!("expected the server to close the connection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_silent_session_is_closed_at_the_idle_timeout() {
+        let idle = Duration::from_millis(100);
+        let gw = Gateway::start(GatewayConfig::default().workers(1).idle_timeout(idle)).unwrap();
+        let started = Instant::now();
+        let mut conn = silent_session(gw.local_addr(), Duration::from_secs(10));
+        assert_closed_by_server(&mut conn);
+        assert!(started.elapsed() >= idle, "closed after {:?}", started.elapsed());
+        let report = gw.shutdown();
+        assert_eq!(report.stats.idle_closed, 1, "{:?}", report.stats);
+        assert_eq!(report.stats.connections_active, 0);
+    }
+
+    #[test]
+    fn a_silent_session_is_force_closed_at_the_drain_deadline() {
+        let drain = Duration::from_millis(100);
+        let gw = Gateway::start(GatewayConfig::default().workers(1).drain_timeout(drain)).unwrap();
+        let mut conn = silent_session(gw.local_addr(), Duration::from_secs(10));
+        // Shut down on another thread, so a drain that never ends fails the
+        // client's read instead of hanging this one.
+        let shutdown = std::thread::spawn(move || gw.shutdown());
+        assert_closed_by_server(&mut conn);
+        let report = shutdown.join().unwrap();
+        assert!(report.stats.drain_secs >= drain.as_secs_f64(), "{:?}", report.stats);
+        assert_eq!(report.stats.connections_active, 0);
+        assert_eq!(report.stats.idle_closed, 0);
+    }
+
+    #[test]
+    fn a_connection_over_the_cap_is_rejected_not_accepted() {
+        let (msgs, wire) = meter_stream(3);
+        let config = GatewayConfig { max_connections: 1, ..GatewayConfig::default().workers(2) };
+        let gw = Gateway::start(config).unwrap();
+        let mut first = silent_session(gw.local_addr(), Duration::from_secs(10));
+        let mut second = TcpStream::connect(gw.local_addr()).unwrap();
+        second.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_closed_by_server(&mut second);
+        // The session holding the one slot is still served in full.
+        first.write_all(&wire).unwrap();
+        first.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut last = 0u64;
+        let mut buf = [0u8; 8];
+        while first.read_exact(&mut buf).is_ok() {
+            last = u64::from_le_bytes(buf);
+        }
+        assert_eq!(last, msgs.len() as u64);
+        let report = gw.shutdown();
+        assert_eq!(report.stats.connections_accepted, 1, "{:?}", report.stats);
+        assert_eq!(report.stats.connections_rejected, 1);
+        assert_eq!(report.stats.connections_active, 0);
     }
 
     #[test]
@@ -1322,6 +1562,52 @@ mod tests {
         conn.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 405"));
         gw.shutdown();
+    }
+
+    #[test]
+    fn readyz_answers_503_until_the_drain_ends() {
+        let config = GatewayConfig::default()
+            .workers(1)
+            .http_metrics(true)
+            .drain_timeout(Duration::from_millis(200));
+        let gw = Gateway::start(config).unwrap();
+        let addr = gw.metrics_addr().expect("sidecar enabled");
+        // `None` once the sidecar no longer answers.
+        let readyz = || -> Option<String> {
+            let mut conn = TcpStream::connect(addr).ok()?;
+            conn.write_all(b"GET /readyz HTTP/1.1\r\n\r\n").ok()?;
+            let mut out = String::new();
+            conn.read_to_string(&mut out).ok()?;
+            (!out.is_empty()).then_some(out)
+        };
+        // A silent session holds the drain open until its deadline, and
+        // closes when the drain ends.
+        let mut session = silent_session(gw.local_addr(), Duration::from_secs(10));
+        session.set_nonblocking(true).unwrap();
+        let mut drained = || match session.read(&mut [0u8; 8]) {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => false,
+            Ok(0) | Err(_) => true,
+            Ok(n) => panic!("the silent session was sent {n} bytes"),
+        };
+        let shutdown = std::thread::spawn(move || gw.shutdown());
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let mut draining_answers = 0;
+        loop {
+            assert!(Instant::now() < give_up, "the drain never ended");
+            match readyz() {
+                Some(r) if r.starts_with("HTTP/1.1 503") => draining_answers += 1,
+                Some(r) => assert!(draining_answers == 0 && r.ends_with("ready\n"), "{r}"),
+                None => {
+                    assert!(drained(), "the sidecar stopped answering during the drain");
+                    break;
+                }
+            }
+            if drained() {
+                break;
+            }
+        }
+        assert!(draining_answers > 0, "no /readyz answer during the drain");
+        assert_eq!(shutdown.join().unwrap().stats.connections_active, 0);
     }
 
     #[test]

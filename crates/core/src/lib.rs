@@ -44,6 +44,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod adaptive;

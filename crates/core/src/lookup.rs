@@ -64,7 +64,9 @@ pub struct LookupTable {
     /// Branchless search form of `separators` for k ≤ 32 (a pure function
     /// of `separators`, rebuilt on construction — derived `PartialEq` stays
     /// consistent). `None` for larger alphabets, which keep binary search.
-    flat: Option<FlatSeparators>,
+    /// Boxed: the padded 32 slots would otherwise make every table, and
+    /// every [`crate::encoder::SensorMessage`], 264 bytes larger.
+    flat: Option<Box<FlatSeparators>>,
 }
 
 impl LookupTable {
@@ -212,7 +214,7 @@ impl LookupTable {
             value_max += span / k as f64;
         }
 
-        let flat = FlatSeparators::new(&separators);
+        let flat = FlatSeparators::new(&separators).map(Box::new);
         let mut table = LookupTable {
             method,
             alphabet,
@@ -631,7 +633,7 @@ impl LookupTable {
             bin_means.push(mean);
             bin_counts.push(total);
         }
-        let flat = FlatSeparators::new(&separators);
+        let flat = FlatSeparators::new(&separators).map(Box::new);
         let mut out = LookupTable {
             method: self.method,
             alphabet: Alphabet::with_resolution(to_bits)?,

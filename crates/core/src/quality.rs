@@ -268,7 +268,8 @@ impl QualityReport {
 /// [`crate::engine::EngineStats`] JSON like the ingest and eval blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QualityStats {
-    /// Houses sanitized.
+    /// Every house of every batch the block covers, rejected houses
+    /// included.
     pub houses: u64,
     /// Houses quarantined (sanitization rejected them, or their encode job
     /// exhausted retries).
@@ -298,7 +299,7 @@ pub struct QualityStats {
 
 crate::telemetry::declare_metrics! {
     QualityStats as quality {
-        add houses, "houses", "Houses sanitized.";
+        add houses, "houses", "Every house of every batch the block counts.";
         add quarantined, "houses", "Houses quarantined (dirty data or exhausted retries).";
         add samples_in, "samples", "Every sample of every house the block counts.";
         add samples_out, "samples", "Samples surviving sanitization across the fleet.";

@@ -101,7 +101,7 @@ pub struct MetricSpec {
 /// ```text
 /// declare_metrics! {
 ///     QualityStats as quality {
-///         add houses, "houses", "Houses sanitized.";
+///         add houses, "houses", "Every house of every batch the block counts.";
 ///         add defects.gaps, "defects", "Gap spans seen.";
 ///         set_f64 sanitize_secs, "seconds", "Wall time of the sanitization pre-pass.";
 ///     }
