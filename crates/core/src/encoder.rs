@@ -12,7 +12,6 @@
 
 use crate::alphabet::Alphabet;
 use crate::error::{Error, Result};
-use crate::json::{self, JsonValue, JsonWriter};
 use crate::lookup::LookupTable;
 use crate::separators::SeparatorMethod;
 use crate::stats::FiniteF64;
@@ -191,98 +190,6 @@ pub enum SensorMessage {
         /// The rebuilt table taking effect at this epoch.
         table: LookupTable,
     },
-}
-
-impl SensorMessage {
-    /// JSON wire encoding: externally tagged, `{"Table":{…}}`,
-    /// `{"Window":{…}}` (the shape serde's derive produced before the
-    /// offline rewrite, so old captures keep parsing) or
-    /// `{"EpochTable":{"epoch":N,"table":{…}}}`.
-    pub fn to_json(&self) -> Result<String> {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        match self {
-            SensorMessage::Table(t) => {
-                w.key("Table");
-                t.write_json(&mut w);
-            }
-            SensorMessage::EpochTable { epoch, table } => {
-                w.key("EpochTable").begin_object();
-                w.key("epoch").u64(*epoch as u64);
-                w.key("table");
-                table.write_json(&mut w);
-                w.end_object();
-            }
-            SensorMessage::Window(win) => {
-                w.key("Window").begin_object();
-                w.key("window_start").i64(win.window_start);
-                w.key("symbol").begin_object();
-                w.key("code").u64(win.symbol.rank() as u64);
-                w.key("len").u64(win.symbol.resolution_bits() as u64);
-                w.end_object();
-                w.key("samples").u64(win.samples as u64);
-                w.end_object();
-            }
-        }
-        w.end_object();
-        Ok(w.finish())
-    }
-
-    /// JSON wire decoding.
-    pub fn from_json(s: &str) -> Result<Self> {
-        let doc = json::parse(s).map_err(Error::Serde)?;
-        if let Some(table) = doc.get("Table") {
-            return Ok(SensorMessage::Table(LookupTable::from_json_value(table)?));
-        }
-        if let Some(et) = doc.get("EpochTable") {
-            let epoch = et
-                .get("epoch")
-                .and_then(JsonValue::as_u64)
-                .filter(|&e| e <= u32::MAX as u64)
-                .ok_or_else(|| Error::Serde("invalid `epoch`".to_string()))?;
-            let table =
-                et.get("table").ok_or_else(|| Error::Serde("missing `table`".to_string()))?;
-            return Ok(SensorMessage::EpochTable {
-                epoch: epoch as u32,
-                table: LookupTable::from_json_value(table)?,
-            });
-        }
-        if let Some(win) = doc.get("Window") {
-            let int_field = |key: &str| {
-                win.get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| Error::Serde(format!("invalid `{key}`")))
-            };
-            let window_start = win
-                .get("window_start")
-                .and_then(|v| v.as_f64())
-                .filter(|t| t.fract() == 0.0)
-                .ok_or_else(|| Error::Serde("invalid `window_start`".to_string()))?
-                as Timestamp;
-            let symbol =
-                win.get("symbol").ok_or_else(|| Error::Serde("missing `symbol`".to_string()))?;
-            let code = symbol
-                .get("code")
-                .and_then(JsonValue::as_u64)
-                .filter(|&c| c <= u16::MAX as u64)
-                .ok_or_else(|| Error::Serde("invalid `symbol.code`".to_string()))?;
-            let len = symbol
-                .get("len")
-                .and_then(JsonValue::as_u64)
-                .filter(|&l| l <= u8::MAX as u64)
-                .ok_or_else(|| Error::Serde("invalid `symbol.len`".to_string()))?;
-            let samples = int_field("samples")?;
-            if samples > u32::MAX as u64 {
-                return Err(Error::Serde("`samples` out of range".to_string()));
-            }
-            return Ok(SensorMessage::Window(EncodedWindow {
-                window_start,
-                symbol: Symbol::from_rank(code as u16, len as u8)?,
-                samples: samples as u32,
-            }));
-        }
-        Err(Error::Serde("expected a `Table`, `EpochTable` or `Window` message".to_string()))
-    }
 }
 
 /// Sensor-side state machine implementing the paper's full protocol:
@@ -502,25 +409,6 @@ mod tests {
         // boxed search form set the size of every message.
         assert_eq!(std::mem::size_of::<EncodedWindow>(), 16);
         assert_eq!(std::mem::size_of::<SensorMessage>(), 112);
-    }
-
-    #[test]
-    fn sensor_message_json_roundtrip() {
-        let m = SensorMessage::Window(EncodedWindow {
-            window_start: 900,
-            symbol: Symbol::from_rank(3, 2).unwrap(),
-            samples: 42,
-        });
-        let j = m.to_json().unwrap();
-        assert_eq!(SensorMessage::from_json(&j).unwrap(), m);
-        let t = SensorMessage::Table(table());
-        let j = t.to_json().unwrap();
-        assert_eq!(SensorMessage::from_json(&j).unwrap(), t);
-        let e = SensorMessage::EpochTable { epoch: 7, table: table() };
-        let j = e.to_json().unwrap();
-        assert_eq!(SensorMessage::from_json(&j).unwrap(), e);
-        assert!(SensorMessage::from_json("{}").is_err());
-        assert!(SensorMessage::from_json(r#"{"EpochTable":{"epoch":5000000000}}"#).is_err());
     }
 
     #[test]

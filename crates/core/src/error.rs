@@ -114,8 +114,6 @@ pub enum Error {
         /// The configured per-connection quota.
         max: u64,
     },
-    /// (De)serialization of a lookup table failed.
-    Serde(String),
     /// The parallel fleet engine failed (worker or channel breakdown).
     Engine(String),
     /// A [`crate::segstore::SegmentStore`] operation failed: an irregular
@@ -191,7 +189,6 @@ impl fmt::Display for Error {
                      received, cap {max}"
                 )
             }
-            Error::Serde(msg) => write!(f, "serde error: {msg}"),
             Error::Engine(msg) => write!(f, "fleet engine error: {msg}"),
             Error::Store(msg) => write!(f, "segment store error: {msg}"),
             Error::Io(msg) => write!(f, "storage i/o error: {msg}"),

@@ -6,9 +6,10 @@
 //! [`FleetIngest`] calls. This module is that front door: a zero-dependency
 //! TCP server that terminates concurrent meter connections, authenticates
 //! each one with a token handshake, rate-limits and quota-checks the byte
-//! streams, and routes every decoded frame through the *same*
-//! [`FleetIngest`] the in-process path uses — so the decoded fleet output
-//! is byte-identical to a local run.
+//! streams, and feeds every byte to one [`FleetIngest`], the type the
+//! in-process path uses — so the decoded fleet output is byte-identical to
+//! a local run. The fleet's own `max_meters` and `max_buffered_bytes` caps
+//! apply: a chunk they refuse closes its connection.
 //!
 //! ## Wire protocol
 //!
@@ -27,7 +28,8 @@
 //! 8-byte little-endian **cumulative decoded-frame counts**, written only
 //! *after* the decoded messages are committed to the fleet output — which is
 //! what makes "graceful shutdown loses zero acknowledged frames" true by
-//! construction rather than by timing.
+//! construction rather than by timing. Every session decodes and commits
+//! under one lock over the fleet and its output; the ack follows.
 //!
 //! ## Thread model
 //!
@@ -52,8 +54,8 @@
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,7 +65,6 @@ use crate::error::{Error, Result};
 use crate::ingest::{FleetIngest, IngestConfig, IngestStats};
 use crate::json::JsonWriter;
 use crate::pool::{self, PoolConfig, PoolStats, RetryPolicy};
-use crate::shard::ShardRouter;
 use crate::telemetry::Registry;
 
 /// Handshake magic: the first four bytes of every meter connection.
@@ -119,13 +120,10 @@ pub struct GatewayConfig {
     /// How long [`Gateway::shutdown`] lets in-flight sessions finish before
     /// force-closing them.
     pub drain_timeout: Duration,
-    /// Policy for the shared [`FleetIngest`] behind the sessions.
+    /// Policy of the one [`FleetIngest`] behind every session, its
+    /// `max_meters` and `max_buffered_bytes` caps included: a chunk a cap
+    /// refuses closes its connection, and [`IngestStats`] counts why.
     pub ingest: IngestConfig,
-    /// Shards the ingest state is partitioned into — consistent hashing of
-    /// meter id through [`crate::shard::ShardRouter`], one lock per shard,
-    /// so sessions on different shards commit concurrently. `1` restores
-    /// the single-lock layout.
-    pub ingest_shards: usize,
     /// Serve the HTTP sidecar (`/metrics`, `/healthz`, `/readyz`) on its
     /// own ephemeral loopback port.
     pub http_metrics: bool,
@@ -144,7 +142,6 @@ impl Default for GatewayConfig {
             idle_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
             ingest: IngestConfig::default(),
-            ingest_shards: 4,
             http_metrics: false,
         }
     }
@@ -191,12 +188,6 @@ impl GatewayConfig {
     /// Enables the HTTP metrics sidecar.
     pub fn http_metrics(mut self, on: bool) -> Self {
         self.http_metrics = on;
-        self
-    }
-
-    /// Sets the ingest shard count (clamped to ≥ 1).
-    pub fn ingest_shards(mut self, shards: usize) -> Self {
-        self.ingest_shards = shards.max(1);
         self
     }
 }
@@ -301,126 +292,13 @@ impl Counters {
     }
 }
 
-/// One shard of ingest state: a [`FleetIngest`] plus the per-meter decoded
-/// output, mutated under the shard's lock so a meter's decoded stream is
-/// identical to an in-process run over the same per-meter bytes.
+/// The ingest state behind every session: the one [`FleetIngest`] and the
+/// per-meter decoded output, mutated together under one lock so a meter's
+/// decoded stream is identical to an in-process run over the same
+/// per-meter bytes.
 struct Core {
     fleet: FleetIngest,
     output: BTreeMap<u64, Vec<SensorMessage>>,
-}
-
-/// The ingest state behind every session, partitioned by meter id through
-/// a [`ShardRouter`]: each shard holds its own [`Core`] under its own
-/// lock, so sessions whose meters land on different shards commit
-/// concurrently instead of serializing on one mutex.
-///
-/// The **global** `max_meters` / `max_buffered_bytes` caps are enforced
-/// here with atomic counters, in [`FleetIngest::ingest`]'s check order
-/// (backlog first, then the meter cap); the per-shard instances run
-/// uncapped so a shard can never double-reject. Under concurrent sessions
-/// the atomic check is advisory-exact — a race can overshoot a cap by at
-/// most the chunks in flight — and a rejected chunk still changes no
-/// state. Per-meter output stays byte-identical to the single-lock
-/// layout: a meter maps to exactly one shard and its session serializes
-/// its own bytes.
-struct IngestShards {
-    router: ShardRouter,
-    cores: Vec<Mutex<Core>>,
-    /// Distinct meters across every shard.
-    meters: AtomicUsize,
-    /// Bytes buffered across every shard awaiting frame completion.
-    buffered: AtomicUsize,
-    meters_rejected: AtomicU64,
-    backlog_rejections: AtomicU64,
-    max_meters: usize,
-    max_buffered_bytes: usize,
-}
-
-impl IngestShards {
-    fn new(shards: usize, config: IngestConfig) -> Result<Self> {
-        let router = ShardRouter::new(shards.max(1))?;
-        let uncapped = config.max_meters(usize::MAX).max_buffered_bytes(usize::MAX);
-        let cores = (0..router.shards())
-            .map(|_| {
-                Mutex::new(Core { fleet: FleetIngest::new(uncapped), output: BTreeMap::new() })
-            })
-            .collect();
-        Ok(IngestShards {
-            router,
-            cores,
-            meters: AtomicUsize::new(0),
-            buffered: AtomicUsize::new(0),
-            meters_rejected: AtomicU64::new(0),
-            backlog_rejections: AtomicU64::new(0),
-            max_meters: config.max_meters,
-            max_buffered_bytes: config.max_buffered_bytes,
-        })
-    }
-
-    /// Feeds `bytes` through the meter's shard, commits the decoded frames
-    /// to that shard's output map, and returns the decoded count — `None`
-    /// on any rejection (the counters record why; the session closes).
-    fn ingest_commit(&self, meter: u64, bytes: &[u8]) -> Option<u64> {
-        if self.buffered.load(Ordering::Acquire).saturating_add(bytes.len())
-            > self.max_buffered_bytes
-        {
-            self.backlog_rejections.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut core = self.cores[self.router.route(meter)].lock().unwrap();
-        let is_new = core.fleet.meter(meter).is_none();
-        if is_new && self.meters.load(Ordering::Acquire) >= self.max_meters {
-            self.meters_rejected.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let before = core.fleet.buffered_total();
-        let result = core.fleet.ingest(meter, bytes);
-        let after = core.fleet.buffered_total();
-        if after >= before {
-            self.buffered.fetch_add(after - before, Ordering::AcqRel);
-        } else {
-            self.buffered.fetch_sub(before - after, Ordering::AcqRel);
-        }
-        if is_new && core.fleet.meter(meter).is_some() {
-            self.meters.fetch_add(1, Ordering::AcqRel);
-        }
-        match result {
-            Ok(msgs) => {
-                let n = msgs.len() as u64;
-                core.output.entry(meter).or_default().extend(msgs);
-                Some(n)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Counters merged across every shard, with the fleet-level rejection
-    /// counters taken from the global checks here.
-    fn stats(&self) -> IngestStats {
-        let mut total = IngestStats::default();
-        for core in &self.cores {
-            total.merge(&core.lock().unwrap().fleet.stats());
-        }
-        total.meters_rejected = self.meters_rejected.load(Ordering::Relaxed);
-        total.backlog_rejections = self.backlog_rejections.load(Ordering::Relaxed);
-        total
-    }
-
-    /// Drains every shard's output (meter keys are disjoint across shards,
-    /// so the merged map is exactly their union) and merges the final
-    /// ingest counters.
-    fn take_report(&self) -> (BTreeMap<u64, Vec<SensorMessage>>, IngestStats) {
-        let mut output = BTreeMap::new();
-        let mut ingest = IngestStats::default();
-        for core in &self.cores {
-            let mut core = core.lock().unwrap();
-            output.append(&mut core.output);
-            ingest.merge(&core.fleet.stats());
-        }
-        ingest.meters_rejected = self.meters_rejected.load(Ordering::Relaxed);
-        ingest.backlog_rejections = self.backlog_rejections.load(Ordering::Relaxed);
-        (output, ingest)
-    }
 }
 
 struct Shared {
@@ -442,10 +320,16 @@ struct Shared {
     /// When the shutdown flag was set (drain deadline anchor).
     shutdown_at: Mutex<Option<Instant>>,
     counters: Counters,
-    shards: IngestShards,
+    core: Mutex<Core>,
 }
 
 impl Shared {
+    /// The ingest state. Sessions commit under this lock, so a panic
+    /// while it is held leaves no consistent state to serve from.
+    fn core(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect("a session panicked while committing")
+    }
+
     fn drain_deadline(&self) -> Option<Instant> {
         self.shutdown_at.lock().unwrap().map(|t| t + self.config.drain_timeout)
     }
@@ -743,20 +627,25 @@ impl Session {
         }
     }
 
-    /// Feeds `bytes` through the meter's ingest shard, commits the decoded
-    /// frames to that shard's output map, and queues a cumulative ack — in
-    /// that order, under the shard's lock, so an acknowledged frame is
-    /// always in the output.
+    /// Feeds `bytes` through the gateway's [`FleetIngest`] and commits the
+    /// decoded frames to the meter's output, both under the ingest lock,
+    /// then queues a cumulative ack, so an acknowledged frame is always in
+    /// the output.
     fn ingest_bytes(&mut self, shared: &Shared, bytes: &[u8]) -> Option<CloseReason> {
         let (meter, prev_acked) = match &self.state {
             SessionState::Streaming { meter, acked } => (*meter, *acked),
             _ => return Some(CloseReason::IoError),
         };
-        // Fleet-level resource caps close the connection; the shard
-        // counters and the fleet's own IngestStats record the rejection.
-        let decoded = match shared.shards.ingest_commit(meter, bytes) {
-            Some(n) => n,
-            None => return Some(CloseReason::IoError),
+        let decoded = {
+            let mut core = shared.core();
+            // A chunk the fleet's caps refuse closes the connection; the
+            // fleet's IngestStats count the rejection.
+            let Ok(msgs) = core.fleet.ingest(meter, bytes) else {
+                return Some(CloseReason::IoError);
+            };
+            let n = msgs.len() as u64;
+            core.output.entry(meter).or_default().extend(msgs);
+            n
         };
         if decoded > 0 {
             let acked = prev_acked + decoded;
@@ -1061,7 +950,7 @@ fn route_http(
             let reg = Registry::with_catalog();
             let stats = shared.counters.snapshot(0.0);
             stats.register_into(&reg);
-            shared.shards.stats().register_into(&reg);
+            shared.core().fleet.stats().register_into(&reg);
             ("200 OK", "text/plain; version=0.0.4; charset=utf-8", reg.render_prometheus())
         }
         b"/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".into()),
@@ -1150,8 +1039,7 @@ impl Gateway {
         };
 
         let workers = config.workers.max(1);
-        let ingest = config.ingest;
-        let ingest_shards = config.ingest_shards;
+        let fleet = FleetIngest::new(config.ingest);
         let shared = Arc::new(Shared {
             config,
             listener,
@@ -1161,7 +1049,7 @@ impl Gateway {
             degraded: AtomicBool::new(false),
             shutdown_at: Mutex::new(None),
             counters: Counters::default(),
-            shards: IngestShards::new(ingest_shards, ingest)?,
+            core: Mutex::new(Core { fleet, output: BTreeMap::new() }),
         });
 
         // The session handlers run as jobs on the supervised pool: one job
@@ -1253,11 +1141,11 @@ impl Gateway {
             }
         }
         let drain_secs = drain_started.elapsed().as_secs_f64();
-        let (output, ingest) = self.shared.shards.take_report();
+        let mut core = self.shared.core();
         GatewayReport {
-            output,
+            output: std::mem::take(&mut core.output),
             stats: self.shared.counters.snapshot(drain_secs),
-            ingest,
+            ingest: core.fleet.stats(),
             pool: pool_stats,
         }
     }
@@ -1642,26 +1530,58 @@ mod tests {
     }
 
     #[test]
-    fn ingest_shards_enforce_global_caps_in_fleet_order() {
-        let shards =
-            IngestShards::new(4, IngestConfig::default().max_meters(2).max_buffered_bytes(8))
-                .unwrap();
-        // Partial frames stay buffered (a valid window tag, header cut short).
-        assert_eq!(shards.ingest_commit(1, &[0x02, 0]), Some(0));
-        assert_eq!(shards.ingest_commit(2, &[0x02, 0]), Some(0));
-        // The backlog check fires before the meter cap (FleetIngest order).
-        assert_eq!(shards.ingest_commit(3, &[0; 16]), None);
-        let stats = shards.stats();
-        assert_eq!((stats.backlog_rejections, stats.meters_rejected), (1, 0));
-        // A small chunk from a third meter trips the global meter cap even
-        // though its shard has room.
-        assert_eq!(shards.ingest_commit(3, &[0]), None);
-        assert_eq!(shards.stats().meters_rejected, 1);
-        // Neither refusal changed any state.
-        assert_eq!(shards.meters.load(Ordering::Acquire), 2);
-        assert_eq!(shards.buffered.load(Ordering::Acquire), 4);
-        // Existing meters keep flowing.
-        assert_eq!(shards.ingest_commit(1, &[0]), Some(0));
+    fn the_meter_cap_holds_across_concurrent_sessions() {
+        const METERS: u64 = 6;
+        let config = GatewayConfig {
+            ingest: IngestConfig::default().max_meters(2),
+            ..GatewayConfig::default().workers(2)
+        };
+        let gw = Gateway::start(config).unwrap();
+        let addr = gw.local_addr();
+        let wires: Vec<Vec<u8>> = (1..=METERS).map(|m| meter_stream(10 * m as i64).1).collect();
+        // Every meter is handshaken before any sends a frame, so all six
+        // race for the two places.
+        let handshaken = std::sync::Barrier::new(METERS as usize);
+        let acked: Vec<u64> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (1..=METERS)
+                .zip(&wires)
+                .map(|(meter, wire)| {
+                    let handshaken = &handshaken;
+                    scope.spawn(move || {
+                        let mut conn = TcpStream::connect(addr).unwrap();
+                        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                        conn.write_all(&encode_handshake(meter, b"smg-local-dev")).unwrap();
+                        let mut ack = [0u8; 1];
+                        conn.read_exact(&mut ack).unwrap();
+                        assert_eq!(ack[0], HANDSHAKE_ACK);
+                        handshaken.wait();
+                        // The server may close a refused meter mid-write.
+                        conn.write_all(wire).ok();
+                        conn.shutdown(std::net::Shutdown::Write).ok();
+                        let mut last = 0u64;
+                        let mut buf = [0u8; 8];
+                        while conn.read_exact(&mut buf).is_ok() {
+                            last = u64::from_le_bytes(buf);
+                        }
+                        last
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let report = gw.shutdown();
+        assert_eq!(report.output.len(), 2, "admitted {:?}", report.output.keys());
+        for ((meter, wire), acked) in (1..=METERS).zip(&wires).zip(acked) {
+            let replay = FleetIngest::new(IngestConfig::default()).ingest(meter, wire).unwrap();
+            match report.output.get(&meter) {
+                Some(output) => {
+                    assert_eq!(output, &replay, "meter {meter}");
+                    assert_eq!(acked, replay.len() as u64, "meter {meter}");
+                }
+                None => assert_eq!(acked, 0, "refused meter {meter} was acked"),
+            }
+        }
+        assert!(report.ingest.meters_rejected >= 4, "{:?}", report.ingest);
     }
 
     #[test]

@@ -551,6 +551,20 @@ mod tests {
         }
         assert_eq!(fleet.buffered_total(), 0, "completed frames leave no backlog");
         assert_eq!(fleet.stats().backlog_rejections, 0);
+
+        // A new meter over both caps is refused by the backlog check first.
+        let mut fleet =
+            FleetIngest::new(IngestConfig::default().max_meters(2).max_buffered_bytes(8));
+        fleet.ingest(1, &[0x02, 0]).unwrap(); // partial frames stay buffered
+        fleet.ingest(2, &[0x02, 0]).unwrap();
+        assert!(matches!(fleet.ingest(3, &[0; 16]), Err(Error::BacklogExceeded { .. })));
+        let stats = fleet.stats();
+        assert_eq!((stats.backlog_rejections, stats.meters_rejected), (1, 0));
+        assert_eq!(fleet.ingest(3, &[0]).unwrap_err(), Error::TooManyMeters { max: 2 });
+        assert_eq!(fleet.stats().meters_rejected, 1);
+        // Neither refusal changed any state, and known meters keep flowing.
+        assert_eq!((fleet.meter_count(), fleet.buffered_total()), (2, 4));
+        assert!(fleet.ingest(1, &[0]).unwrap().is_empty());
     }
 
     #[test]

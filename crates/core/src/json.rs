@@ -1,10 +1,11 @@
-//! Minimal JSON reader/writer backing the sensor→server debug wire format.
+//! Minimal JSON reader/writer for the metrics JSON.
 //!
-//! The workspace builds offline (no serde), so the two JSON surfaces —
-//! [`crate::lookup::LookupTable`] and [`crate::encoder::SensorMessage`] —
-//! serialize by hand through this module. The document shapes match what
-//! `serde_json` would derive (named-field objects, externally tagged enums),
-//! so existing captures keep parsing.
+//! The workspace builds offline (no serde), so the stats blocks write their
+//! JSON (`EngineStats::to_json`, the `metrics_json:` line of `--metrics`
+//! runs, the benchmark records) by hand through [`JsonWriter`], and
+//! [`parse`] reads those documents back in `repro validate-metrics`, the
+//! benchmark gates and tests. Sensor messages have one encoding, the binary
+//! [`crate::wire`] framing.
 //!
 //! Numbers are written with Rust's shortest-round-trip `f64` formatting and
 //! parsed with `str::parse::<f64>`, which makes `f64` fields byte-exact
@@ -377,22 +378,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a signed integer.
-    pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.elem();
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
-    /// Writes every float in `values` as one array value.
-    pub fn f64_array(&mut self, values: &[f64]) -> &mut Self {
-        self.begin_array();
-        for &v in values {
-            self.f64(v);
-        }
-        self.end_array()
-    }
-
     /// Writes every integer in `values` as one array value.
     pub fn u64_array(&mut self, values: &[u64]) -> &mut Self {
         self.begin_array();
@@ -471,11 +456,11 @@ mod tests {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.key("name").string("a\"b");
-        w.key("xs").f64_array(&[1.0, 2.5]);
+        w.key("xs").begin_array().f64(1.0).f64(2.5).end_array();
         w.key("n").u64(7);
-        w.key("t").i64(-3);
+        w.key("ns").u64_array(&[3, 4]);
         w.end_object();
-        assert_eq!(w.finish(), r#"{"name":"a\"b","xs":[1.0,2.5],"n":7,"t":-3}"#);
+        assert_eq!(w.finish(), r#"{"name":"a\"b","xs":[1.0,2.5],"n":7,"ns":[3,4]}"#);
     }
 
     #[test]

@@ -21,13 +21,13 @@
 
 use crate::alphabet::Alphabet;
 use crate::error::{Error, Result};
-use crate::json::{self, JsonValue, JsonWriter};
 use crate::separators::{
     def3_bin_index, learn_separators, learn_separators_from_sample, strictly_increasing,
     FlatSeparators, SeparatorMethod, SortedSample, ENCODE_CHUNK,
 };
 use crate::stats::QuantileSketch;
 use crate::symbol::Symbol;
+use crate::wire;
 
 /// Boundary count at or below which the batch encode uses the columnar
 /// per-boundary kernel; above it the fixed branchless search wins (the
@@ -670,108 +670,12 @@ impl LookupTable {
             .sum()
     }
 
-    /// Serializes to the JSON wire format used when shipping the table from
-    /// the sensor to the aggregation server.
-    pub fn to_json(&self) -> Result<String> {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        Ok(w.finish())
-    }
-
-    /// Parses the JSON wire format.
-    pub fn from_json(s: &str) -> Result<Self> {
-        let doc = json::parse(s).map_err(Error::Serde)?;
-        Self::from_json_value(&doc)
-    }
-
-    /// Writes this table as one JSON value into `w` (shared with the
-    /// [`crate::encoder::SensorMessage`] wire encoding).
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("method").string(method_variant(self.method));
-        w.key("alphabet").begin_object();
-        w.key("resolution_bits").u64(self.alphabet.resolution_bits() as u64);
-        w.end_object();
-        w.key("separators").f64_array(&self.separators);
-        w.key("bin_means").f64_array(&self.bin_means);
-        w.key("bin_counts").u64_array(&self.bin_counts);
-        w.key("value_min").f64(self.value_min);
-        w.key("value_max").f64(self.value_max);
-        w.end_object();
-    }
-
-    /// Rebuilds a table from a parsed JSON value, validating shapes and
-    /// separator monotonicity like [`LookupTable::from_wire_parts`].
-    pub(crate) fn from_json_value(doc: &JsonValue) -> Result<Self> {
-        let field =
-            |key: &str| doc.get(key).ok_or_else(|| Error::Serde(format!("missing field `{key}`")));
-        let method = field("method")?
-            .as_str()
-            .and_then(method_from_variant)
-            .ok_or_else(|| Error::Serde("invalid `method`".to_string()))?;
-        let bits = field("alphabet")?
-            .get("resolution_bits")
-            .and_then(JsonValue::as_u64)
-            .filter(|&b| b <= u8::MAX as u64)
-            .ok_or_else(|| Error::Serde("invalid `alphabet`".to_string()))?;
-        let f64_field = |key: &str| -> Result<Vec<f64>> {
-            field(key)?
-                .as_array()
-                .ok_or_else(|| Error::Serde(format!("`{key}` is not an array")))?
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| Error::Serde(format!("non-number in `{key}`"))))
-                .collect()
-        };
-        let bin_counts: Vec<u64> = field("bin_counts")?
-            .as_array()
-            .ok_or_else(|| Error::Serde("`bin_counts` is not an array".to_string()))?
-            .iter()
-            .map(|v| {
-                v.as_u64().ok_or_else(|| Error::Serde("non-integer in `bin_counts`".to_string()))
-            })
-            .collect::<Result<_>>()?;
-        let value_min = field("value_min")?
-            .as_f64()
-            .ok_or_else(|| Error::Serde("invalid `value_min`".to_string()))?;
-        let value_max = field("value_max")?
-            .as_f64()
-            .ok_or_else(|| Error::Serde("invalid `value_max`".to_string()))?;
-        Self::from_wire_parts(
-            method,
-            Alphabet::with_resolution(bits as u8)?,
-            f64_field("separators")?,
-            f64_field("bin_means")?,
-            bin_counts,
-            value_min,
-            value_max,
-        )
-    }
-
-    /// Approximate wire size in bytes of the serialized table (for the §2.3
-    /// compression accounting, where the table cost "can be amortized over
-    /// time").
+    /// Bytes of the tag-0x01 frame that ships this table (see
+    /// [`crate::wire`]): the one-time table cost of the §2.3 compression
+    /// accounting, which "can be amortized over time".
     pub fn wire_size_bytes(&self) -> usize {
-        self.to_json().map(|s| s.len()).unwrap_or(0)
+        wire::HEADER_LEN + wire::table_payload_len(self.resolution_bits())
     }
-}
-
-/// JSON tag for a method (the Rust variant name, matching what serde's
-/// derive produced before the offline rewrite — old captures keep parsing).
-fn method_variant(m: SeparatorMethod) -> &'static str {
-    match m {
-        SeparatorMethod::Uniform => "Uniform",
-        SeparatorMethod::Median => "Median",
-        SeparatorMethod::DistinctMedian => "DistinctMedian",
-    }
-}
-
-fn method_from_variant(s: &str) -> Option<SeparatorMethod> {
-    Some(match s {
-        "Uniform" => SeparatorMethod::Uniform,
-        "Median" => SeparatorMethod::Median,
-        "DistinctMedian" => SeparatorMethod::DistinctMedian,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -1066,14 +970,14 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn wire_size_is_the_table_frame_length() {
         let vals: Vec<f64> = (0..100).map(|x| x as f64).collect();
-        let t = LookupTable::learn(SeparatorMethod::DistinctMedian, alphabet(8), &vals).unwrap();
-        let json = t.to_json().unwrap();
-        let back = LookupTable::from_json(&json).unwrap();
-        assert_eq!(t, back);
-        assert!(t.wire_size_bytes() > 0);
-        assert!(LookupTable::from_json("not json").is_err());
+        for k in [2, 4, 8, 16, 32] {
+            let t =
+                LookupTable::learn(SeparatorMethod::DistinctMedian, alphabet(k), &vals).unwrap();
+            let frame = wire::encode_message(&crate::encoder::SensorMessage::Table(t.clone()));
+            assert_eq!(t.wire_size_bytes(), frame.unwrap().len(), "k = {k}");
+        }
     }
 
     #[test]

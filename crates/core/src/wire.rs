@@ -2,11 +2,10 @@
 //!
 //! The paper's §2.3 notes that "communication and storage overhead, induced
 //! for example by protocols and indexes should also be taken into account
-//! for a real system". The JSON encoding of [`crate::encoder::SensorMessage`]
-//! is convenient for debugging but costs ~75 bytes per symbol; this module
-//! provides a length-prefixed binary framing that gets a window message down
-//! to 20 bytes (15-byte payload + 5-byte header) and supports streaming
-//! decode — the representation a real deployment would ship.
+//! for a real system". This module is the one encoding of
+//! [`crate::encoder::SensorMessage`]: a length-prefixed binary framing that
+//! carries a window message in 20 bytes (15-byte payload + 5-byte header)
+//! and supports streaming decode.
 //!
 //! Frame layout (all integers little-endian):
 //!
@@ -49,7 +48,7 @@ const WINDOW_PAYLOAD_LEN: usize = 8 + 1 + 2 + 4;
 
 /// Exact payload length of a table frame for a `bits`-bit alphabet:
 /// method + bits + lo/hi + `k-1` separators + `k` means + `k` counts.
-fn table_payload_len(bits: u8) -> usize {
+pub(crate) fn table_payload_len(bits: u8) -> usize {
     let k = 1usize << bits;
     2 + 16 + 8 * (k - 1) + 8 * k + 8 * k
 }
@@ -559,9 +558,6 @@ mod tests {
     fn window_frame_is_small() {
         let frame = encode_message(&window(86_400, 7)).unwrap();
         assert_eq!(frame.len(), 5 + 15, "15-byte payload + 5-byte header");
-        // Versus JSON:
-        let json = window(86_400, 7).to_json().unwrap();
-        assert!(json.len() > frame.len() * 3, "binary ≪ JSON: {} vs {}", frame.len(), json.len());
     }
 
     #[test]

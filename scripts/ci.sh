@@ -52,6 +52,12 @@ if [[ $quick -eq 0 ]]; then
     cargo run -q --release -p sms-bench --bin repro -- \
         validate-metrics "$metrics_tmp/ingest.out"
 
+    echo "==> example: streaming_sensor over the binary wire (release)"
+    cargo run -q --release --example streaming_sensor > "$metrics_tmp/streaming_sensor.out"
+    # A 399-byte table frame plus 384 window frames of 20 bytes.
+    grep -q '^sensor: .* 385 wire messages (8079 bytes total)$' \
+        "$metrics_tmp/streaming_sensor.out"
+
     echo "==> ml split-search bench smoke (down-scaled)"
     BENCH_ML_SMOKE=1 cargo bench -q -p sms-bench --bench ml
 

@@ -2,6 +2,7 @@
 
 use smart_meter_symbolics::core::encoder::{SensorMessage, SensorPipeline};
 use smart_meter_symbolics::core::horizontal::SymbolicSeries;
+use smart_meter_symbolics::core::wire::{encode_message, FrameDecoder};
 use smart_meter_symbolics::meterdata::generator::redd_like;
 use smart_meter_symbolics::prelude::*;
 
@@ -92,10 +93,11 @@ fn wire_roundtrip_preserves_symbols_and_tables() {
         .unwrap();
     let symbols = codec.encode(&series).unwrap();
 
-    // Table over JSON.
-    let json = codec.table().to_json().unwrap();
-    let table2 = LookupTable::from_json(&json).unwrap();
-    assert_eq!(codec.table(), &table2);
+    // Table over the binary wire.
+    let frame = encode_message(&SensorMessage::Table(codec.table().clone())).unwrap();
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&frame);
+    assert_eq!(decoder.drain().unwrap(), [SensorMessage::Table(codec.table().clone())]);
 
     // Symbols over packed bits (regular hourly stream).
     let packed = symbols.pack_symbols();
