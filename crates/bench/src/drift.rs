@@ -4,9 +4,10 @@
 //! houses change character at a known day (new always-on equipment, a
 //! seasonal heating uptick, a seasonally shifted daily rhythm). The
 //! run measures reconstruction accuracy **before / during / after** the
-//! drift, once with the static day-one lookup table and once with
-//! [`sms_core::adaptive::AdaptiveEncoder`] re-learning separators from its
-//! drift-window sketch and shipping each rebuilt table under a new epoch.
+//! drift with two [`SensorPipeline`]s trained on the same first days: one
+//! keeps its day-one lookup table, and one runs under a drift policy,
+//! re-learning separators from its drift-window sketch and shipping each
+//! rebuilt table under a new epoch.
 //!
 //! Two further legs exercise the fleet path: the drifted fleet runs through
 //! the sharded engine with its drift gate enabled (pre-drift batch, then
@@ -15,16 +16,16 @@
 //! the symbols *and* epochs byte-identical across the cutover.
 
 use meterdata::generator::cer_drifted;
-use sms_core::adaptive::{AdaptiveEncoder, AdaptiveStats};
+use sms_core::adaptive::{AdaptiveStats, DriftConfig};
 use sms_core::alphabet::Alphabet;
-use sms_core::encoder::{OnlineEncoder, SensorMessage};
+use sms_core::encoder::{SensorMessage, SensorPipeline};
 use sms_core::engine::EngineStats;
 use sms_core::error::{Error, Result};
 use sms_core::json::JsonWriter;
 use sms_core::lookup::{LookupTable, SymbolSemantics};
 use sms_core::pipeline::CodecBuilder;
 use sms_core::separators::SeparatorMethod;
-use sms_core::shard::{DriftConfig, ShardedEngineConfig, ShardedFleetEngine};
+use sms_core::shard::{ShardedEngineConfig, ShardedFleetEngine};
 use sms_core::timeseries::{Sample, TimeSeries, Timestamp, SECONDS_PER_DAY};
 use sms_core::vertical::Aggregation;
 
@@ -65,7 +66,7 @@ pub struct DriftReport {
     pub drift_day: i64,
     /// Per-phase MAE with the frozen day-one table.
     pub static_mae: PhaseMae,
-    /// Per-phase MAE with the adaptive encoder.
+    /// Per-phase MAE with the drift policy.
     pub adaptive_mae: PhaseMae,
     /// Table rebuilds across the adaptive streams.
     pub rebuilds: u64,
@@ -145,56 +146,6 @@ pub fn render_drift(r: &DriftReport) -> String {
     )
 }
 
-/// Unifying view over the two sensor-side encoders.
-trait StreamEncoder {
-    fn push(&mut self, t: Timestamp, v: f64) -> Result<Vec<SensorMessage>>;
-    fn finish(&mut self) -> Vec<SensorMessage>;
-}
-
-/// Static encoder that announces its fixed table once up front.
-struct StaticEncoder {
-    encoder: OnlineEncoder,
-    pending_table: Option<LookupTable>,
-}
-
-impl StreamEncoder for StaticEncoder {
-    fn push(&mut self, t: Timestamp, v: f64) -> Result<Vec<SensorMessage>> {
-        let mut msgs = Vec::new();
-        if let Some(table) = self.pending_table.take() {
-            msgs.push(SensorMessage::Table(table));
-        }
-        if let Some(w) = self.encoder.push(t, v)? {
-            msgs.push(SensorMessage::Window(w));
-        }
-        Ok(msgs)
-    }
-
-    fn finish(&mut self) -> Vec<SensorMessage> {
-        self.encoder.finish().map(SensorMessage::Window).into_iter().collect()
-    }
-}
-
-/// Adaptive encoder that announces its initial table once up front.
-struct AdaptiveStream {
-    encoder: AdaptiveEncoder,
-    pending_table: Option<LookupTable>,
-}
-
-impl StreamEncoder for AdaptiveStream {
-    fn push(&mut self, t: Timestamp, v: f64) -> Result<Vec<SensorMessage>> {
-        let mut msgs = Vec::new();
-        if let Some(table) = self.pending_table.take() {
-            msgs.push(SensorMessage::Table(table));
-        }
-        msgs.extend(self.encoder.push(t, v)?);
-        Ok(msgs)
-    }
-
-    fn finish(&mut self) -> Vec<SensorMessage> {
-        self.encoder.finish()
-    }
-}
-
 /// Error/count accumulator for one phase.
 #[derive(Default, Clone, Copy)]
 struct PhaseAcc {
@@ -212,12 +163,12 @@ impl PhaseAcc {
     }
 }
 
-/// Streams a series through an encoder, decodes every window with the table
+/// Streams a series through a sensor, decodes every window with the table
 /// in force at that time (epoch cutovers included), and accumulates absolute
 /// error against the batch aggregates, bucketed by phase boundary.
 fn reconstruction_phases(
     series: &TimeSeries,
-    enc: &mut dyn StreamEncoder,
+    enc: &mut SensorPipeline,
     cut: Timestamp,
     settle: Timestamp,
 ) -> Result<([PhaseAcc; 3], u64)> {
@@ -350,8 +301,8 @@ pub fn run_drift(scale: crate::Scale, shards: usize, workers: usize) -> Result<D
     // Adaptation-lag span: detection takes up to 2× the detector window of
     // post-drift samples (the effective window must fill with them), and the
     // first rebuild can land on a window straddling the cut — the corrective
-    // rebuild is then gated by the min-interval (one more window). "during"
-    // covers that whole lag; "post" is steady state.
+    // rebuild then waits at least one more window, for the window to refill.
+    // "during" covers that whole lag; "post" is steady state.
     let settle = cut + 3 * DETECT_WINDOW as i64 * 1800;
 
     let ds = cer_drifted(scale.seed, houses, days, drift_day).generate()?;
@@ -361,34 +312,25 @@ pub fn run_drift(scale: crate::Scale, shards: usize, workers: usize) -> Result<D
     let mut adaptive_acc = [PhaseAcc::default(); 3];
     let mut symbols = 0u64;
     let mut adaptive_stats = AdaptiveStats::default();
+    // Both sensors train on the first TRAIN_DAYS days, then replay them.
+    let train = TRAIN_DAYS * SECONDS_PER_DAY;
+    let sensor = || {
+        SensorPipeline::new(
+            SeparatorMethod::Median,
+            alphabet,
+            WINDOW_SECS,
+            Aggregation::Mean,
+            train,
+        )
+    };
     for r in ds.records() {
-        let train = r.series.head_duration(TRAIN_DAYS * SECONDS_PER_DAY);
-        if train.is_empty() {
-            return Err(Error::EmptyInput("run_drift: no training data"));
-        }
-        let table = LookupTable::learn(SeparatorMethod::Median, alphabet, &train.values())?;
-
-        let mut static_enc = StaticEncoder {
-            encoder: OnlineEncoder::new(table.clone(), WINDOW_SECS, Aggregation::Mean)?,
-            pending_table: Some(table.clone()),
-        };
-        let (sp, n) = reconstruction_phases(&r.series, &mut static_enc, cut, settle)?;
+        let (sp, n) = reconstruction_phases(&r.series, &mut sensor()?, cut, settle)?;
         symbols += n;
 
-        let mut adaptive = AdaptiveStream {
-            encoder: AdaptiveEncoder::new(
-                table.clone(),
-                train.values(),
-                SeparatorMethod::Median,
-                WINDOW_SECS,
-                Aggregation::Mean,
-                THRESHOLD,
-                DETECT_WINDOW,
-            )?,
-            pending_table: Some(table),
-        };
+        let mut adaptive =
+            sensor()?.drift(DriftConfig { threshold: THRESHOLD, window: DETECT_WINDOW })?;
         let (ap, _) = reconstruction_phases(&r.series, &mut adaptive, cut, settle)?;
-        adaptive_stats.merge(&adaptive.encoder.stats());
+        adaptive_stats.merge(&adaptive.adaptive_stats());
 
         for i in 0..3 {
             static_acc[i].err += sp[i].err;

@@ -10,27 +10,38 @@
 //!   the recent window are both [`QuantileSketch`]es — `O(log n)` bytes per
 //!   meter — and the drift statistic is a two-sample Kolmogorov–Smirnov
 //!   distance evaluated over sketch rank queries.
-//! * [`AdaptiveEncoder`] gates rebuilds with **hysteresis** (an
-//!   over-threshold reading only fires while the detector is armed; it
-//!   re-arms once the statistic falls below half the threshold) and a
-//!   **minimum rebuild interval**, so noisy meters cannot thrash retraining.
-//!   Suppressed firings are counted per cause in [`AdaptiveStats`].
+//! * One cutover rule serves a meter and a fleet house alike, under one
+//!   [`DriftConfig`]. It gates rebuilds with **hysteresis**: an
+//!   over-threshold reading rebuilds only while the rule is armed, a
+//!   rebuild dis-arms it, and it re-arms once the statistic falls below
+//!   half the threshold or the window has fully turned over since the
+//!   rebuild. Suppressed readings are counted in [`AdaptiveStats`]. Two
+//!   rebuilds are at least `window` samples apart, because a rebuild
+//!   restarts the window and the statistic waits for it to refill.
+//! * Two paths apply the rule. They differ in when they test and in how
+//!   they retrain:
+//!   - the meter,
+//!     [`SensorPipeline::drift`](crate::encoder::SensorPipeline::drift),
+//!     tests after every sample and relearns its table from the window
+//!     sketch with [`LookupTable::learn_from_sketch`]. That learner's
+//!     `Uniform` divides the sketch's `[lo, hi]`, not §2.2's `[0, max]`,
+//!     and its `DistinctMedian` falls back to median, so a meter's epoch
+//!     table for those methods is neither the paper's nor the fleet's;
+//!   - the fleet, [`ShardedFleetEngine`](crate::shard::ShardedFleetEngine),
+//!     tests once per house per batch, evicts the house's cached table and
+//!     retrains exactly on the batch.
 //! * Every rebuild is a **cutover to a new epoch**: the rebuilt table ships
-//!   as [`SensorMessage::EpochTable`] carrying a monotonic per-meter version,
-//!   so the server (and the segment store) can record which table encoded
-//!   which symbols and old epochs remain decodable — exactly the protocol the
-//!   paper sketches ("rebuilding and resending the lookup table periodically
-//!   or if the distribution of the data changes too much", §2).
+//!   as [`SensorMessage::EpochTable`](crate::encoder::SensorMessage::EpochTable)
+//!   carrying a monotonic per-meter version, so the server (and the segment
+//!   store) can record which table encoded which symbols and old epochs
+//!   remain decodable — exactly the protocol the paper sketches
+//!   ("rebuilding and resending the lookup table periodically or if the
+//!   distribution of the data changes too much", §2).
+//!
+//! [`LookupTable::learn_from_sketch`]: crate::lookup::LookupTable::learn_from_sketch
 
-use crate::alphabet::Alphabet;
-use crate::encoder::{OnlineEncoder, SensorMessage};
 use crate::error::{Error, Result};
-use crate::lookup::LookupTable;
-use crate::separators::SeparatorMethod;
 use crate::stats::QuantileSketch;
-use crate::telemetry::Log2Histogram;
-use crate::timeseries::Timestamp;
-use crate::vertical::Aggregation;
 
 /// Sketch capacity used by drift detectors: small enough that a million
 /// meters fit in a few GiB, accurate enough for a KS test over 16–64 bins.
@@ -81,8 +92,9 @@ impl DriftDetector {
         Self::from_sketch(sketch, window_size)
     }
 
-    /// Creates a detector from an already-built reference sketch (the fleet
-    /// path, where training never materializes a raw sample).
+    /// Creates a detector from an already-built reference sketch, for a
+    /// caller that holds no raw values. The meter and the fleet seed their
+    /// detectors from raw values through [`new`](Self::new).
     pub fn from_sketch(reference: QuantileSketch, window_size: usize) -> Result<Self> {
         if reference.is_empty() {
             return Err(Error::EmptyInput("DriftDetector reference"));
@@ -171,21 +183,44 @@ impl DriftDetector {
     }
 }
 
-/// Rejects a drift threshold outside `(0, 1]`, the range of the KS
-/// distance, NaN included: at or below 0 every reading is over the
-/// threshold, and above 1 none is.
-pub(crate) fn check_threshold(threshold: f64) -> Result<()> {
-    if !(0.0..=1.0).contains(&threshold) || threshold == 0.0 {
-        return Err(Error::InvalidParameter {
-            name: "threshold",
-            reason: format!("must be in (0, 1], got {threshold}"),
-        });
+/// Drift policy of a meter
+/// ([`SensorPipeline::drift`](crate::encoder::SensorPipeline::drift)) or a
+/// fleet ([`ShardedEngineConfig::drift`](crate::shard::ShardedEngineConfig::drift)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriftConfig {
+    /// KS-statistic threshold above which drift fires (hysteresis re-arms
+    /// below `threshold / 2`).
+    pub threshold: f64,
+    /// Sliding-window length in samples; also the fewest samples between
+    /// two rebuilds of one meter or house, since the window must refill.
+    pub window: usize,
+}
+
+impl Default for DriftConfig {
+    fn default() -> Self {
+        DriftConfig { threshold: 0.3, window: 512 }
     }
-    Ok(())
+}
+
+impl DriftConfig {
+    /// Rejects a policy the rule cannot act on: a threshold outside
+    /// `(0, 1]`, the range of the KS distance, NaN included (at or below 0
+    /// every reading is over the threshold, and above 1 none is), or a
+    /// window below 2.
+    pub(crate) fn validate(self) -> Result<Self> {
+        if !(0.0..=1.0).contains(&self.threshold) || self.threshold == 0.0 {
+            return Err(Error::InvalidParameter {
+                name: "threshold",
+                reason: format!("must be in (0, 1], got {}", self.threshold),
+            });
+        }
+        check_window(self.window)?;
+        Ok(self)
+    }
 }
 
 /// Rejects a detection window shorter than 2 samples.
-pub(crate) fn check_window(window_size: usize) -> Result<()> {
+fn check_window(window_size: usize) -> Result<()> {
     if window_size < 2 {
         return Err(Error::InvalidParameter {
             name: "window_size",
@@ -205,8 +240,8 @@ pub struct AdaptiveStats {
     /// fired recently and not yet re-armed (the statistic never fell below
     /// the re-arm threshold).
     pub suppressed_hysteresis: u64,
-    /// Over-threshold drift readings suppressed by the minimum rebuild
-    /// interval.
+    /// Always 0: no statistic exists until the window refills after a
+    /// rebuild, so no minimum rebuild interval can hold a reading back.
     pub suppressed_min_interval: u64,
     /// Epoch-versioned tables shipped (equals `rebuilds` for a single
     /// encoder; summed across a fleet).
@@ -217,10 +252,6 @@ pub struct AdaptiveStats {
     pub samples: u64,
     /// Symbols emitted.
     pub symbols: u64,
-    /// Samples between the first suppressed over-threshold reading and the
-    /// rebuild that eventually served it — how long cutover lagged behind
-    /// detectable drift.
-    pub cutover_lag: Log2Histogram,
 }
 
 crate::telemetry::declare_metrics! {
@@ -229,21 +260,18 @@ crate::telemetry::declare_metrics! {
         add suppressed_hysteresis, "decisions",
             "Over-threshold drift readings suppressed because the detector was not re-armed.";
         add suppressed_min_interval, "decisions",
-            "Over-threshold drift readings suppressed by the minimum rebuild interval.";
+            "Always 0: no drift statistic exists until the window refills after a rebuild.";
         add epochs_shipped, "epochs", "Epoch-versioned lookup tables shipped after drift cutover.";
         set sketch_bytes, "bytes",
             "Bytes held by streaming quantile sketches across all drift detectors.";
         add samples, "samples", "Raw samples folded into drift detectors.";
-        add symbols, "symbols", "Symbols emitted by adaptive encoders.";
-        merge_histogram cutover_lag, "samples",
-            "Samples between a suppressed over-threshold drift reading and the eventual rebuild.";
+        add symbols, "symbols", "Symbols emitted by meters and houses under a drift policy.";
     }
 }
 
 impl AdaptiveStats {
-    /// Folds another run's counters into this one (histograms merge
-    /// commutatively; the sketch-bytes gauge adds, since fleet totals are
-    /// the sum over meters).
+    /// Folds another run's counters into this one (the sketch-bytes gauge
+    /// adds, since fleet totals are the sum over meters).
     pub fn merge(&mut self, other: &AdaptiveStats) {
         self.rebuilds += other.rebuilds;
         self.suppressed_hysteresis += other.suppressed_hysteresis;
@@ -252,156 +280,96 @@ impl AdaptiveStats {
         self.sketch_bytes += other.sketch_bytes;
         self.samples += other.samples;
         self.symbols += other.symbols;
-        self.cutover_lag.merge(&other.cutover_lag);
     }
 }
 
-/// Online encoder that rebuilds its lookup table when the raw-value
-/// distribution drifts, shipping each rebuilt table under a new epoch.
-#[derive(Debug)]
-pub struct AdaptiveEncoder {
-    encoder: OnlineEncoder,
+/// The drift state of one meter or one fleet house: its detector, the
+/// rule's hysteresis arm, the samples since the last rebuild and the epoch
+/// of its current table. [`decide`](Self::decide) is the one cutover rule.
+#[derive(Debug, Clone)]
+pub(crate) struct DriftTracker {
     detector: DriftDetector,
-    method: SeparatorMethod,
-    alphabet: Alphabet,
-    threshold: f64,
-    /// Hysteresis: a firing dis-arms the detector; it re-arms once the
-    /// statistic falls below `threshold / 2`, or once the detection window
-    /// has fully turned over since the rebuild (`2 × min_interval` samples),
-    /// so a rebuild trained on a window straddling the drift cannot
-    /// suppress its own correction forever.
     armed: bool,
-    /// Minimum samples between rebuilds.
-    min_interval: u64,
+    /// Samples pushed since the last rebuild or since seeding, NaN
+    /// included.
     since_rebuild: u64,
-    /// Sample count at the first suppressed over-threshold reading since the
-    /// last rebuild (for the cutover-lag histogram).
-    pending_since: Option<u64>,
     epoch: u32,
-    stats: AdaptiveStats,
 }
 
-impl AdaptiveEncoder {
-    /// Wraps a trained table. `threshold` is the KS distance that triggers a
-    /// rebuild (typical values 0.1–0.3); `window_size` is the recent-sample
-    /// window used both for detection and for re-training, and doubles as
-    /// the minimum rebuild interval.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        table: LookupTable,
-        training_values: Vec<f64>,
-        method: SeparatorMethod,
-        window_secs: i64,
-        aggregation: Aggregation,
-        threshold: f64,
-        window_size: usize,
-    ) -> Result<Self> {
-        check_threshold(threshold)?;
-        let alphabet = table.alphabet();
-        Ok(AdaptiveEncoder {
-            encoder: OnlineEncoder::new(table, window_secs, aggregation)?,
-            detector: DriftDetector::new(&training_values, window_size)?,
-            method,
-            alphabet,
-            threshold,
-            armed: true,
-            min_interval: window_size as u64,
-            since_rebuild: 0,
-            pending_since: None,
-            epoch: 0,
-            stats: AdaptiveStats::default(),
-        })
+impl DriftTracker {
+    /// An armed tracker at epoch 0 whose reference is sketched from
+    /// `reference`; errors as [`DriftDetector::new`] does.
+    pub(crate) fn new(reference: &[f64], window: usize) -> Result<Self> {
+        let detector = DriftDetector::new(reference, window)?;
+        Ok(DriftTracker { detector, armed: true, since_rebuild: 0, epoch: 0 })
     }
 
-    /// Feeds one raw sample; returns wire messages (an epoch-versioned
-    /// rebuilt table and/or an encoded window).
-    pub fn push(&mut self, t: Timestamp, v: f64) -> Result<Vec<SensorMessage>> {
-        let mut out = Vec::new();
-        if let Some(w) = self.encoder.push(t, v)? {
-            self.stats.symbols += 1;
-            out.push(SensorMessage::Window(w));
-        }
-        // Past the encoder's validation: v is finite from here on.
-        self.stats.samples += 1;
-        self.since_rebuild += 1;
+    /// Feeds one sample to the detector, which skips NaN.
+    pub(crate) fn push(&mut self, v: f64) {
         self.detector.push(v);
-
-        if let Some(d) = self.detector.statistic() {
-            // Re-arm when the statistic settles, or once the detection
-            // window has fully turned over since the rebuild: a rebuild
-            // that fired on a window straddling the drift leaves a mixed
-            // reference the statistic never settles against, and the
-            // corrective rebuild must not be suppressed forever.
-            if !self.armed
-                && (d < self.threshold / 2.0 || self.since_rebuild >= 2 * self.min_interval)
-            {
-                self.armed = true;
-            }
-            if d > self.threshold {
-                if !self.armed {
-                    self.stats.suppressed_hysteresis += 1;
-                } else if self.since_rebuild < self.min_interval {
-                    self.stats.suppressed_min_interval += 1;
-                    self.pending_since.get_or_insert(self.stats.samples);
-                } else {
-                    out.push(self.cut_over()?);
-                }
-            }
-        }
-        self.stats.sketch_bytes = self.detector.sketch_bytes() as u64;
-        Ok(out)
+        self.since_rebuild += 1;
     }
 
-    /// Rebuilds the table from the window sketch, bumps the epoch, rebases
-    /// the detector, and returns the epoch-table message.
-    fn cut_over(&mut self) -> Result<SensorMessage> {
-        let table = LookupTable::learn_from_sketch(
-            self.method,
-            self.alphabet,
-            &self.detector.window_sketch(),
-        )?;
-        self.encoder.set_table(table.clone());
+    /// The cutover rule: applies the hysteresis of the module doc to the
+    /// current statistic, counts into `stats`, and returns whether to cut
+    /// over. A cutover bumps the epoch and rebases the detector, so
+    /// [`reference`](Self::reference) is then the window the rule fired on.
+    /// The statistic exists only once `window` non-NaN samples have arrived
+    /// since the rebase, so two cutovers are at least `window` samples
+    /// apart.
+    pub(crate) fn decide(&mut self, policy: &DriftConfig, stats: &mut AdaptiveStats) -> bool {
+        let Some(d) = self.detector.statistic() else {
+            return false;
+        };
+        // The turnover re-arm: a rebuild that fired on a window straddling
+        // the drift leaves a mixed reference the statistic never settles
+        // against, and the corrective rebuild must not wait forever.
+        if !self.armed
+            && (d < policy.threshold / 2.0 || self.since_rebuild >= 2 * policy.window as u64)
+        {
+            self.armed = true;
+        }
+        if d <= policy.threshold {
+            return false;
+        }
+        if !self.armed {
+            stats.suppressed_hysteresis += 1;
+            return false;
+        }
         self.detector.rebase();
-        let lag = self.stats.samples - self.pending_since.take().unwrap_or(self.stats.samples);
-        self.stats.cutover_lag.observe(lag);
-        self.since_rebuild = 0;
         self.armed = false;
+        self.since_rebuild = 0;
         self.epoch += 1;
-        self.stats.rebuilds += 1;
-        self.stats.epochs_shipped += 1;
-        Ok(SensorMessage::EpochTable { epoch: self.epoch, table })
+        stats.rebuilds += 1;
+        stats.epochs_shipped += 1;
+        true
     }
 
-    /// Flushes the trailing window.
-    pub fn finish(&mut self) -> Vec<SensorMessage> {
-        match self.encoder.finish() {
-            Some(w) => {
-                self.stats.symbols += 1;
-                vec![SensorMessage::Window(w)]
-            }
-            None => Vec::new(),
-        }
+    /// The detector's reference: after a cutover, the window the rule fired
+    /// on.
+    pub(crate) fn reference(&self) -> &QuantileSketch {
+        &self.detector.reference
     }
 
-    /// Run statistics so far.
-    pub fn stats(&self) -> AdaptiveStats {
-        self.stats
-    }
-
-    /// The table currently in use.
-    pub fn current_table(&self) -> &LookupTable {
-        self.encoder.table()
-    }
-
-    /// The epoch of the table currently in use (0 until the first cutover).
-    pub fn epoch(&self) -> u32 {
+    /// The epoch of the current table (0 until the first cutover).
+    pub(crate) fn epoch(&self) -> u32 {
         self.epoch
+    }
+
+    /// Bytes held by the detector's sketches.
+    pub(crate) fn sketch_bytes(&self) -> u64 {
+        self.detector.sketch_bytes() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::Alphabet;
+    use crate::encoder::{SensorMessage, SensorPipeline};
+    use crate::lookup::LookupTable;
+    use crate::separators::SeparatorMethod;
+    use crate::vertical::Aggregation;
 
     fn training() -> Vec<f64> {
         (0..500).map(|i| 100.0 + ((i * 13) % 50) as f64).collect()
@@ -469,124 +437,106 @@ mod tests {
         assert!(peak < 64 * 1024, "sketch memory must stay O(log n), got {peak} bytes");
     }
 
-    #[test]
-    fn adaptive_encoder_rebuilds_once_per_regime() {
-        let train = training();
-        let table =
-            LookupTable::learn(SeparatorMethod::Median, Alphabet::with_size(8).unwrap(), &train)
-                .unwrap();
-        let mut enc = AdaptiveEncoder::new(
-            table,
-            train,
-            SeparatorMethod::Median,
-            60,
-            Aggregation::Mean,
-            0.5,
-            200,
-        )
-        .unwrap();
+    /// A drift-enabled sensor of 8 symbols over 60 s windows that trains
+    /// for 500 s.
+    fn sensor(threshold: f64, window: usize) -> Result<SensorPipeline> {
+        let alphabet = Alphabet::with_size(8).unwrap();
+        SensorPipeline::new(SeparatorMethod::Median, alphabet, 60, Aggregation::Mean, 500)?
+            .drift(DriftConfig { threshold, window })
+    }
 
-        let is_table = |m: &SensorMessage| {
-            matches!(m, SensorMessage::EpochTable { .. } | SensorMessage::Table(_))
-        };
-        let mut tables = 0;
-        let mut t = 0i64;
-        // Regime 1: same as training — no rebuild expected.
-        for i in 0..400 {
-            let msgs = enc.push(t, 100.0 + ((i * 13) % 50) as f64).unwrap();
-            tables += msgs.iter().filter(|m| is_table(m)).count();
-            t += 1;
+    /// Trains `p` on [`training`], one sample a second from t = 0; returns
+    /// the next timestamp.
+    fn train(p: &mut SensorPipeline) -> i64 {
+        for (t, v) in training().into_iter().enumerate() {
+            assert!(p.push(t as i64, v).unwrap().is_empty(), "still training");
         }
-        assert_eq!(tables, 0, "no drift yet");
-        assert_eq!(enc.epoch(), 0);
-
-        // Regime 2: level shift — exactly one rebuild (then rebase,
-        // hysteresis dis-arm, and the min interval hold further firings).
-        for i in 0..600 {
-            let msgs = enc.push(t, 1000.0 + ((i * 13) % 50) as f64).unwrap();
-            tables += msgs.iter().filter(|m| is_table(m)).count();
-            t += 1;
-        }
-        assert_eq!(tables, 1, "one rebuild for one regime change");
-        assert_eq!(enc.stats().rebuilds, 1);
-        assert_eq!(enc.stats().epochs_shipped, 1);
-        assert_eq!(enc.epoch(), 1, "first cutover ships epoch 1");
-
-        // The rebuilt table should now cover the new level.
-        let (_, hi) = enc.current_table().value_range();
-        assert!(hi >= 1000.0, "table retrained on the new regime, max {hi}");
-        assert!(enc.stats().sketch_bytes > 0, "sketch bytes are accounted");
-        enc.finish();
-        assert!(enc.stats().symbols > 0);
+        500
     }
 
     #[test]
-    fn adaptive_encoder_min_interval_suppresses_thrash() {
-        let train = training();
-        let table =
-            LookupTable::learn(SeparatorMethod::Median, Alphabet::with_size(8).unwrap(), &train)
-                .unwrap();
-        let mut enc = AdaptiveEncoder::new(
-            table,
-            train,
-            SeparatorMethod::Median,
-            60,
-            Aggregation::Mean,
-            0.3,
-            100,
-        )
-        .unwrap();
-        let mut t = 0i64;
-        // Shift, then shift again immediately: the second regime change lands
-        // inside the min interval / un-armed span and must be suppressed.
+    fn sensor_rebuilds_once_per_regime() {
+        let mut p = sensor(0.5, 200).unwrap();
+        let mut t = train(&mut p);
+        let mut msgs = Vec::new();
+        // Regime 1: same as training — the first sample ends training and
+        // ships the table, and no rebuild follows.
+        for i in 0..400 {
+            msgs.extend(p.push(t, 100.0 + ((i * 13) % 50) as f64).unwrap());
+            t += 1;
+        }
+        assert!(matches!(msgs[0], SensorMessage::Table(_)), "the table ships first");
+        let epoch_tables = |msgs: &[SensorMessage]| -> Vec<(u32, LookupTable)> {
+            msgs.iter()
+                .filter_map(|m| match m {
+                    SensorMessage::EpochTable { epoch, table } => Some((*epoch, table.clone())),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert!(epoch_tables(&msgs).is_empty(), "no drift yet");
+
+        // Regime 2: level shift — exactly one rebuild (then rebase and
+        // hysteresis dis-arm hold further firings).
+        for i in 0..600 {
+            msgs.extend(p.push(t, 1000.0 + ((i * 13) % 50) as f64).unwrap());
+            t += 1;
+        }
+        let rebuilt = epoch_tables(&msgs);
+        assert_eq!(rebuilt.len(), 1, "one rebuild for one regime change");
+        assert_eq!(p.adaptive_stats().rebuilds, 1);
+        assert_eq!(p.adaptive_stats().epochs_shipped, 1);
+        assert_eq!(rebuilt[0].0, 1, "first cutover ships epoch 1");
+
+        // The rebuilt table should now cover the new level.
+        let (_, hi) = rebuilt[0].1.value_range();
+        assert!(hi >= 1000.0, "table retrained on the new regime, max {hi}");
+        assert!(p.adaptive_stats().sketch_bytes > 0, "sketch bytes are accounted");
+        p.finish();
+        assert!(p.adaptive_stats().symbols > 0);
+    }
+
+    #[test]
+    fn sensor_hysteresis_suppresses_thrash() {
+        let mut p = sensor(0.3, 100).unwrap();
+        let mut t = train(&mut p);
+        // Shift, then shift again immediately: the second regime change
+        // lands inside the un-armed span and must be suppressed.
         for i in 0..150 {
-            enc.push(t, 1000.0 + (i % 50) as f64).unwrap();
+            p.push(t, 1000.0 + (i % 50) as f64).unwrap();
             t += 1;
         }
-        let after_first = enc.stats().rebuilds;
+        let after_first = p.adaptive_stats().rebuilds;
         for i in 0..80 {
-            enc.push(t, 5000.0 + (i % 50) as f64).unwrap();
+            p.push(t, 5000.0 + (i % 50) as f64).unwrap();
             t += 1;
         }
-        let s = enc.stats();
+        let s = p.adaptive_stats();
         assert_eq!(after_first, 1);
-        assert!(
-            s.suppressed_min_interval > 0 || s.suppressed_hysteresis > 0,
-            "rapid re-drift must be visibly suppressed, got {s:?}"
-        );
+        assert!(s.suppressed_hysteresis > 0, "rapid re-drift must be visibly suppressed: {s:?}");
         assert!(s.rebuilds <= 2, "gating must prevent per-sample rebuild thrash");
     }
 
     #[test]
-    fn adaptive_encoder_validates_threshold() {
-        let train = training();
-        let table =
-            LookupTable::learn(SeparatorMethod::Median, Alphabet::with_size(4).unwrap(), &train)
-                .unwrap();
-        assert!(AdaptiveEncoder::new(
-            table,
-            train,
-            SeparatorMethod::Median,
-            60,
-            Aggregation::Mean,
-            0.0,
-            100
-        )
-        .is_err());
+    fn sensor_validates_its_drift_policy() {
+        for (threshold, window) in [(0.0, 100), (f64::NAN, 100), (1.5, 100), (0.3, 1)] {
+            assert!(
+                matches!(sensor(threshold, window), Err(Error::InvalidParameter { .. })),
+                "threshold {threshold}, window {window}"
+            );
+        }
+        assert!(sensor(1.0, 2).is_ok());
     }
 
     #[test]
     fn adaptive_stats_merge_is_commutative() {
-        let mut a = AdaptiveStats { rebuilds: 1, samples: 10, ..AdaptiveStats::default() };
-        a.cutover_lag.observe(5);
-        let mut b = AdaptiveStats { rebuilds: 2, symbols: 3, ..AdaptiveStats::default() };
-        b.cutover_lag.observe(9);
+        let a = AdaptiveStats { rebuilds: 1, samples: 10, ..AdaptiveStats::default() };
+        let b = AdaptiveStats { rebuilds: 2, symbols: 3, ..AdaptiveStats::default() };
         let mut ab = a;
         ab.merge(&b);
         let mut ba = b;
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.rebuilds, 3);
-        assert_eq!(ab.cutover_lag.count(), 2);
+        assert_eq!((ab.rebuilds, ab.samples, ab.symbols), (3, 10, 3));
     }
 }

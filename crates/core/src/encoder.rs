@@ -9,7 +9,10 @@
 //! samples, which it must replay through the encoder anyway, and learns its
 //! table from them with [`LookupTable::learn`] when training ends, so a
 //! sensor's table is the one the batch path learns from the same values.
+//! Under a drift policy it also rebuilds the table when the data drift and
+//! ships each rebuild under a new epoch ([`crate::adaptive`]).
 
+use crate::adaptive::{AdaptiveStats, DriftConfig, DriftTracker};
 use crate::alphabet::Alphabet;
 use crate::error::{Error, Result};
 use crate::lookup::LookupTable;
@@ -85,8 +88,8 @@ impl OnlineEncoder {
         &self.table
     }
 
-    /// Replaces the lookup table (used by the adaptive encoder when the
-    /// distribution drifts, §4).
+    /// Replaces the lookup table (a drift cutover of [`SensorPipeline`],
+    /// §4).
     pub fn set_table(&mut self, table: LookupTable) {
         self.table = table;
     }
@@ -200,6 +203,9 @@ pub enum SensorMessage {
 /// 3. **Streaming**: encode every subsequent window, emitting
 ///    [`SensorMessage::Window`]s. Training samples are *also* replayed
 ///    through the encoder, so no data is lost.
+///
+/// Under a drift policy ([`drift`](Self::drift)) streaming also rebuilds
+/// the table when the data drift, emitting [`SensorMessage::EpochTable`]s.
 #[derive(Debug)]
 pub struct SensorPipeline {
     method: SeparatorMethod,
@@ -207,13 +213,56 @@ pub struct SensorPipeline {
     window_secs: i64,
     aggregation: Aggregation,
     train_duration: i64,
+    drift: Option<DriftConfig>,
     state: PipelineState,
 }
 
 #[derive(Debug)]
 enum PipelineState {
     Training { buffer: Vec<(Timestamp, f64)>, started: Option<Timestamp> },
-    Streaming { encoder: OnlineEncoder },
+    Streaming(Box<Stream>),
+}
+
+/// The streaming phase: the encoder and, under a drift policy, the policy,
+/// the meter's drift state and its counters.
+#[derive(Debug)]
+struct Stream {
+    encoder: OnlineEncoder,
+    drift: Option<(DriftConfig, DriftTracker)>,
+    stats: AdaptiveStats,
+}
+
+impl Stream {
+    /// Encodes one sample into `msgs`, then, under a drift policy, feeds
+    /// the tracker and applies the cutover rule. A cutover relearns the
+    /// table and ships it right after the window this sample closed.
+    fn push(
+        &mut self,
+        t: Timestamp,
+        v: f64,
+        (method, alphabet): (SeparatorMethod, Alphabet),
+        msgs: &mut Vec<SensorMessage>,
+    ) -> Result<()> {
+        let window = self.encoder.push(t, v)?;
+        let Some((policy, tracker)) = &mut self.drift else {
+            msgs.extend(window.map(SensorMessage::Window));
+            return Ok(());
+        };
+        if let Some(w) = window {
+            self.stats.symbols += 1;
+            msgs.push(SensorMessage::Window(w));
+        }
+        // Past the encoder's validation: v is finite from here on.
+        self.stats.samples += 1;
+        tracker.push(v);
+        if tracker.decide(policy, &mut self.stats) {
+            let table = LookupTable::learn_from_sketch(method, alphabet, tracker.reference())?;
+            self.encoder.set_table(table.clone());
+            msgs.push(SensorMessage::EpochTable { epoch: tracker.epoch(), table });
+        }
+        self.stats.sketch_bytes = tracker.sketch_bytes();
+        Ok(())
+    }
 }
 
 impl SensorPipeline {
@@ -238,8 +287,25 @@ impl SensorPipeline {
             window_secs,
             aggregation,
             train_duration,
+            drift: None,
             state: PipelineState::Training { buffer: Vec::new(), started: None },
         })
+    }
+
+    /// Rebuilds the table when the data drift, under `policy` (§4's future
+    /// work, [`crate::adaptive`]); set it before the first sample. The
+    /// training values seed the drift tracker, and the cutover rule is
+    /// tested after every replayed and later sample. A cutover relearns the
+    /// table with [`LookupTable::learn_from_sketch`] from the window the
+    /// rule fired on: `Uniform` divides the window's `[lo, hi]` and
+    /// `DistinctMedian` falls back to median. The fleet instead tests once
+    /// per house per batch and retrains exactly on the batch
+    /// ([`crate::shard::ShardedEngineConfig::drift`]). Errors with
+    /// [`Error::InvalidParameter`] on a threshold outside `(0, 1]` or a
+    /// window below 2.
+    pub fn drift(mut self, policy: DriftConfig) -> Result<Self> {
+        self.drift = Some(policy.validate()?);
+        Ok(self)
     }
 
     /// Whether the pipeline is still in its training phase.
@@ -247,49 +313,64 @@ impl SensorPipeline {
         matches!(self.state, PipelineState::Training { .. })
     }
 
+    /// Drift counters so far: zeroes without a drift policy and while
+    /// training.
+    pub fn adaptive_stats(&self) -> AdaptiveStats {
+        match &self.state {
+            PipelineState::Streaming(stream) => stream.stats,
+            PipelineState::Training { .. } => AdaptiveStats::default(),
+        }
+    }
+
     /// Feeds one sample; returns the messages to ship (zero or more — the
     /// transition out of training emits the table plus any windows covered
     /// by the buffered training data).
     pub fn push(&mut self, t: Timestamp, v: f64) -> Result<Vec<SensorMessage>> {
+        let learn = (self.method, self.alphabet);
+        let mut msgs = Vec::new();
         match &mut self.state {
             PipelineState::Training { buffer, started } => {
                 let t0 = *started.get_or_insert(t);
                 if t - t0 < self.train_duration {
                     FiniteF64::new(v)?;
                     buffer.push((t, v));
-                    return Ok(Vec::new());
+                    return Ok(msgs);
                 }
-                // Training complete: build table, replay buffer, continue.
+                // Training complete: build the table and seed the drift
+                // tracker from the buffer, replay it, continue.
                 let values: Vec<f64> = buffer.iter().map(|&(_, v)| v).collect();
                 let table = LookupTable::learn(self.method, self.alphabet, &values)?;
-                let mut encoder =
+                let drift = match self.drift {
+                    Some(policy) => Some((policy, DriftTracker::new(&values, policy.window)?)),
+                    None => None,
+                };
+                let encoder =
                     OnlineEncoder::new(table.clone(), self.window_secs, self.aggregation)?;
-                let mut msgs = vec![SensorMessage::Table(table)];
+                let mut stream = Stream { encoder, drift, stats: AdaptiveStats::default() };
+                msgs.push(SensorMessage::Table(table));
                 for &(bt, bv) in buffer.iter() {
-                    if let Some(w) = encoder.push(bt, bv)? {
-                        msgs.push(SensorMessage::Window(w));
-                    }
+                    stream.push(bt, bv, learn, &mut msgs)?;
                 }
-                if let Some(w) = encoder.push(t, v)? {
-                    msgs.push(SensorMessage::Window(w));
-                }
-                self.state = PipelineState::Streaming { encoder };
-                Ok(msgs)
+                stream.push(t, v, learn, &mut msgs)?;
+                self.state = PipelineState::Streaming(Box::new(stream));
             }
-            PipelineState::Streaming { encoder } => {
-                Ok(encoder.push(t, v)?.map(SensorMessage::Window).into_iter().collect())
-            }
+            PipelineState::Streaming(stream) => stream.push(t, v, learn, &mut msgs)?,
         }
+        Ok(msgs)
     }
 
     /// Flushes the trailing window at end of stream.
     pub fn finish(&mut self) -> Vec<SensorMessage> {
-        match &mut self.state {
-            PipelineState::Streaming { encoder } => {
-                encoder.finish().map(SensorMessage::Window).into_iter().collect()
-            }
-            PipelineState::Training { .. } => Vec::new(),
+        let PipelineState::Streaming(stream) = &mut self.state else {
+            return Vec::new();
+        };
+        let Some(w) = stream.encoder.finish() else {
+            return Vec::new();
+        };
+        if stream.drift.is_some() {
+            stream.stats.symbols += 1;
         }
+        vec![SensorMessage::Window(w)]
     }
 }
 

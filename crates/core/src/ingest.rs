@@ -403,7 +403,7 @@ mod tests {
     use crate::encoder::EncodedWindow;
     use crate::separators::SeparatorMethod;
     use crate::symbol::Symbol;
-    use crate::wire::encode_message;
+    use crate::wire::{encode_message, HEADER_LEN};
 
     fn table() -> LookupTable {
         let values: Vec<f64> = (0..400).map(|i| ((i * 29) % 350) as f64).collect();
@@ -532,7 +532,7 @@ mod tests {
     fn backlog_cap_rejects_before_buffering() {
         // A header that announces a large frame and never completes it.
         let mut fleet = FleetIngest::new(IngestConfig::default().max_buffered_bytes(64));
-        let partial = vec![0x02, 200, 0, 0, 0]; // 200-byte payload, never sent
+        let partial = vec![0x01, 138, 1, 0, 0]; // a 394-byte 4-bit table, never sent
         fleet.ingest(1, &partial).unwrap();
         assert_eq!(fleet.buffered_total(), partial.len());
 
@@ -565,6 +565,50 @@ mod tests {
         // Neither refusal changed any state, and known meters keep flowing.
         assert_eq!((fleet.meter_count(), fleet.buffered_total()), (2, 4));
         assert!(fleet.ingest(1, &[0]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_resent_stream_survives_a_session_cut_inside_a_frame() {
+        // A meter's session dies `cut` bytes into a frame, and the meter
+        // resends every frame from that one on. The stale partial frame may
+        // cost a corrupt frame, but it must not swallow the resent ones.
+        let (msgs, _) = stream(10);
+        let frames: Vec<Vec<u8>> = msgs.iter().map(|m| encode_message(m).unwrap()).collect();
+        let keys = |m: &[SensorMessage]| -> Vec<_> {
+            m.iter()
+                .map(|m| match m {
+                    SensorMessage::Window(w) => Some((w.window_start, w.symbol)),
+                    _ => None,
+                })
+                .collect()
+        };
+        for (cut_frame, cuts) in [(0, 1..8), (6, 1..20)] {
+            for cut in cuts {
+                let mut fleet = FleetIngest::new(IngestConfig::default());
+                let mut stored = Vec::new();
+                for frame in &frames[..cut_frame] {
+                    stored.extend(fleet.ingest(1, frame).unwrap());
+                }
+                stored.extend(fleet.ingest(1, &frames[cut_frame][..cut]).unwrap());
+                for frame in &frames[cut_frame..] {
+                    stored.extend(fleet.ingest(1, frame).unwrap());
+                }
+                let at = format!("cut {cut} bytes into frame {cut_frame}");
+                assert_eq!(stored.len(), msgs.len(), "{at}: {stored:?}");
+                assert_eq!(stored[0], msgs[0], "{at}: the table");
+                assert_eq!(keys(&stored[cut_frame + 1..]), keys(&msgs[cut_frame + 1..]), "{at}");
+                assert_eq!(fleet.buffered_total(), 0, "{at}");
+                // A stale part of a header, or of a table's method and
+                // resolution bytes, cannot pass the frame-start check, so
+                // the cut frame arrives too. A stale whole window header
+                // can instead pair with resent bytes into a window that
+                // decodes: until frames carry a checksum, that window may
+                // take the cut one's place.
+                if cut_frame == 0 || cut < HEADER_LEN {
+                    assert_eq!(keys(&stored), keys(&msgs), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

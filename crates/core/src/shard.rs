@@ -45,7 +45,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
-use crate::adaptive::{check_threshold, check_window, AdaptiveStats, DriftDetector};
+use crate::adaptive::{AdaptiveStats, DriftTracker};
 use crate::engine::{
     EngineConfig, EngineStats, FleetEncoding, PanicPlan, QuarantinePolicy, QuarantineReason,
     Quarantined, TableMode,
@@ -58,6 +58,8 @@ use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy};
 use crate::quality::{QualityStats, Sanitizer};
 use crate::telemetry::Registry;
 use crate::timeseries::TimeSeries;
+
+pub use crate::adaptive::DriftConfig;
 
 /// Virtual nodes each shard places on the consistent-hash ring. 32 keeps
 /// the worst shard within a few percent of the mean at 16 shards while the
@@ -287,36 +289,19 @@ pub struct ShardedEngineConfig {
     /// Lookup tables each shard's cache retains.
     pub table_cache_capacity: usize,
     /// Online drift adaptation, `None` (the default) disables it. When set,
-    /// a serial pre-pass feeds every house's samples into a per-house
-    /// sketch-backed [`DriftDetector`]; a confirmed drift evicts the
-    /// house's cached table and bumps its separator epoch, so the next
-    /// encode retrains on post-drift data. The pre-pass runs on the main
-    /// thread **in input order**, so the decisions — and therefore the
-    /// output bytes — are identical at any shards × workers topology. It
-    /// needs [`TableMode::PerHouse`]: a shared table has no house to cut
-    /// over.
+    /// a serial pre-pass feeds every house's batch into a per-house
+    /// sketch-backed [`DriftDetector`](crate::adaptive::DriftDetector) and
+    /// applies the cutover rule of [`crate::adaptive`] once per house per
+    /// batch. A cutover evicts the house's cached table and bumps its
+    /// separator epoch, so the encode stage retrains it exactly on the
+    /// batch. The pre-pass runs on the main thread **in input order**, so
+    /// the decisions — and therefore the output bytes — are identical at
+    /// any shards × workers topology. It needs [`TableMode::PerHouse`]: a
+    /// shared table has no house to cut over.
     pub drift: Option<DriftConfig>,
     /// The batch path's settings: workers per shard pool, table mode,
     /// quarantine policy, sanitizer, retries and chaos plan.
     pub engine: EngineConfig,
-}
-
-/// Drift-detection policy of a sharded engine (see
-/// [`ShardedEngineConfig::drift`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// KS-statistic threshold above which drift fires (hysteresis re-arms
-    /// below `threshold / 2`).
-    pub threshold: f64,
-    /// Sliding-window length in samples; also the minimum sample interval
-    /// between consecutive rebuilds of one house.
-    pub window: usize,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig { threshold: 0.3, window: 512 }
-    }
 }
 
 impl Default for ShardedEngineConfig {
@@ -358,29 +343,6 @@ impl ShardedEngineConfig {
     }
 }
 
-/// Per-house drift-tracking state of a drift-enabled sharded engine. Lives
-/// in one house-keyed map owned by the engine (not the shards), mutated
-/// only by the serial pre-pass — so its evolution is a pure function of
-/// the input stream, independent of topology.
-#[derive(Debug)]
-struct HouseDrift {
-    detector: DriftDetector,
-    /// Separator epoch the house currently encodes under.
-    epoch: u32,
-    /// Hysteresis arm: a firing dis-arms; re-arms when the statistic falls
-    /// below half the threshold, or once the detection window has fully
-    /// turned over since the rebuild (so a rebuild trained on a window
-    /// straddling the drift cannot suppress its correction forever).
-    armed: bool,
-    /// Samples since the last rebuild (gates the min-interval).
-    since_rebuild: u64,
-    /// Lifetime samples pushed for this house.
-    samples: u64,
-    /// Sample count at the first min-interval-suppressed over-threshold
-    /// reading, for the cutover-lag histogram.
-    pending_since: Option<u64>,
-}
-
 /// The crate's fleet encoder, its state partitioned by the consistent-hash
 /// ring: per-shard table caches and per-shard supervised pools, merged
 /// deterministically.
@@ -400,7 +362,9 @@ pub struct ShardedFleetEngine {
     stats: ShardStats,
     pool_stats: PoolStats,
     /// Per-house drift state, present only when `config.drift` is set.
-    drift_state: BTreeMap<u64, HouseDrift>,
+    /// Only the serial pre-pass mutates it, so its evolution is a pure
+    /// function of the input stream, independent of topology.
+    drift_state: BTreeMap<u64, DriftTracker>,
     adaptive_stats: AdaptiveStats,
     /// The engine block's scalars and histograms over every batch.
     totals: EngineStats,
@@ -417,14 +381,12 @@ impl ShardedFleetEngine {
     /// An engine over `builder`'s codec with `config`'s topology.
     ///
     /// Errors with [`Error::InvalidParameter`] on zero shards, on drift
-    /// detection under [`TableMode::Shared`], and on a [`DriftConfig`] that
-    /// [`AdaptiveEncoder::new`](crate::adaptive::AdaptiveEncoder::new) would
-    /// reject too: a `threshold` outside `(0, 1]` or a `window` below 2.
+    /// detection under [`TableMode::Shared`], and on a [`DriftConfig`] with
+    /// a `threshold` outside `(0, 1]` or a `window` below 2.
     pub fn new(builder: CodecBuilder, config: ShardedEngineConfig) -> Result<Self> {
         let router = ShardRouter::new(config.shards)?;
         if let Some(drift) = config.drift {
-            check_threshold(drift.threshold)?;
-            check_window(drift.window)?;
+            drift.validate()?;
             if config.engine.table_mode == TableMode::Shared {
                 return Err(Error::InvalidParameter {
                     name: "drift",
@@ -485,13 +447,13 @@ impl ShardedFleetEngine {
     /// The separator epoch `house` currently encodes under (`0` for houses
     /// never seen or never drifted).
     pub fn house_epoch(&self, house: u64) -> u32 {
-        self.drift_state.get(&house).map_or(0, |d| d.epoch)
+        self.drift_state.get(&house).map_or(0, DriftTracker::epoch)
     }
 
     /// The drift pre-pass: feeds each house's batch samples through its
-    /// sketch detector **serially, in input order**, and on a confirmed
-    /// drift evicts the house's cached table and bumps its epoch — so the
-    /// encode stage retrains that house on its post-drift data. Every
+    /// sketch detector **serially, in input order**, then applies the
+    /// cutover rule once, and on a cutover evicts the house's cached table
+    /// — so the encode stage retrains that house on its batch. Every
     /// decision here is a pure function of the per-house sample stream;
     /// nothing downstream (shard partitioning, worker scheduling) can
     /// change it, which preserves byte-identical output across topologies.
@@ -502,79 +464,28 @@ impl ShardedFleetEngine {
     ) {
         for (house, ts) in houses {
             let values = ts.values();
-            let state = match self.drift_state.get_mut(&house) {
-                Some(state) => state,
-                None => {
-                    // First sight: the batch becomes the reference
-                    // distribution. A house whose history can't seed a
-                    // detector (empty, or NaN — the encoder will surface
-                    // that) simply goes untracked.
-                    let finite: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-                    let Ok(det) = DriftDetector::new(&finite, drift.window) else {
-                        continue;
-                    };
+            let Some(tracker) = self.drift_state.get_mut(&house) else {
+                // First sight: the batch becomes the reference
+                // distribution. A house whose history can't seed a
+                // detector (empty, or NaN — the encoder will surface that)
+                // simply goes untracked.
+                let finite: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+                if let Ok(tracker) = DriftTracker::new(&finite, drift.window) {
                     self.adaptive_stats.samples += values.len() as u64;
-                    self.drift_state.insert(
-                        house,
-                        HouseDrift {
-                            detector: det,
-                            epoch: 0,
-                            armed: true,
-                            since_rebuild: 0,
-                            samples: values.len() as u64,
-                            pending_since: None,
-                        },
-                    );
-                    continue;
+                    self.drift_state.insert(house, tracker);
                 }
+                continue;
             };
             for &v in &values {
-                state.detector.push(v);
+                tracker.push(v);
             }
-            state.samples += values.len() as u64;
-            state.since_rebuild += values.len() as u64;
             self.adaptive_stats.samples += values.len() as u64;
-            let Some(stat) = state.detector.statistic() else {
-                continue;
-            };
-            // Re-arm when the statistic settles, or once the detection
-            // window has fully turned over since the rebuild: a rebuild that
-            // fired on a window straddling the drift leaves a mixed
-            // reference the statistic never settles against, and the
-            // corrective rebuild must not be suppressed forever.
-            if !state.armed
-                && (stat < drift.threshold / 2.0 || state.since_rebuild >= 2 * drift.window as u64)
-            {
-                state.armed = true;
+            if tracker.decide(&drift, &mut self.adaptive_stats) {
+                self.caches[self.router.route(house)].remove(house);
             }
-            if stat <= drift.threshold {
-                continue;
-            }
-            if !state.armed {
-                self.adaptive_stats.suppressed_hysteresis += 1;
-                continue;
-            }
-            if state.since_rebuild < drift.window as u64 {
-                self.adaptive_stats.suppressed_min_interval += 1;
-                state.pending_since.get_or_insert(state.samples);
-                continue;
-            }
-            // Confirmed drift: cut over. The cached pre-drift table is
-            // evicted so the encode stage retrains this house; the epoch
-            // bump versions everything downstream (wire frames, stored
-            // segments).
-            let lag = state.samples - state.pending_since.take().unwrap_or(state.samples);
-            self.adaptive_stats.cutover_lag.observe(lag);
-            state.detector.rebase();
-            state.epoch += 1;
-            state.armed = false;
-            state.since_rebuild = 0;
-            self.adaptive_stats.rebuilds += 1;
-            self.adaptive_stats.epochs_shipped += 1;
-            self.caches[self.router.route(house)].remove(house);
         }
         self.adaptive_stats.sketch_bytes =
-            self.drift_state.values().map(|d| d.detector.sketch_bytes() as u64).sum();
+            self.drift_state.values().map(DriftTracker::sketch_bytes).sum();
     }
 
     /// Encodes one batch of `(house id, series)` pairs. Output is

@@ -271,52 +271,63 @@ fn decode_payload(tag: u8, payload_bytes: &[u8]) -> Result<SensorMessage> {
     }
 }
 
-/// Whether `buf` could be the start of a valid frame — the resync predicate.
-///
-/// Checks everything the buffered bytes allow: tag, announced length against
-/// `max_frame_len` and the tag's structural length (windows are fixed-size;
-/// a table's length is fully determined by its resolution byte), and — when
-/// the whole frame is buffered — an actual payload decode. Prefix-only
-/// matches are accepted tentatively; later bytes may still disprove them,
-/// which simply triggers another resync.
-fn plausible_frame_at(buf: &[u8], max_frame_len: usize) -> bool {
-    let Some(&tag) = buf.first() else { return false };
+/// Checks what the buffered start of a frame shows before its payload is
+/// complete: a known tag, an announced length within `max_frame_len`, and
+/// the tag's structural length — a window payload is exactly
+/// [`WINDOW_PAYLOAD_LEN`] bytes, and a table's length follows from its
+/// resolution byte (in `1..=16`, after a method byte of at most 2). Returns
+/// the announced payload length once the header is buffered.
+fn check_frame_start(buf: &[u8], max_frame_len: usize) -> Result<Option<usize>> {
+    let Some(&tag) = buf.first() else { return Ok(None) };
     if tag != TAG_TABLE && tag != TAG_WINDOW && tag != TAG_EPOCH_TABLE {
-        return false;
+        return Err(Error::WireFormat(format!("unknown frame tag {tag:#x}")));
     }
     if buf.len() < HEADER_LEN {
-        return true; // tag checks out; length bytes not yet received
+        return Ok(None);
     }
     let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
     if len > max_frame_len {
-        return false;
+        return Err(Error::FrameTooLarge { len, max: max_frame_len });
     }
-    match tag {
-        TAG_WINDOW if len != WINDOW_PAYLOAD_LEN => return false,
-        TAG_TABLE | TAG_EPOCH_TABLE => {
-            // method byte ≤ 2, resolution in 1..=16, and the announced
-            // length must match the one the resolution dictates. An epoch
-            // table carries a 4-byte epoch before the table body, shifting
-            // those bytes (any u32 is a valid epoch, so it is not checked).
-            let body =
-                if tag == TAG_EPOCH_TABLE { HEADER_LEN + EPOCH_PREFIX_LEN } else { HEADER_LEN };
-            let prefix = body - HEADER_LEN;
-            if buf.len() > body && buf[body] > 2 {
-                return false;
-            }
-            if buf.len() > body + 1 {
-                let bits = buf[body + 1];
-                if !(1..=16).contains(&bits) || len != prefix + table_payload_len(bits) {
-                    return false;
-                }
+    if tag == TAG_WINDOW && len != WINDOW_PAYLOAD_LEN {
+        return Err(Error::WireFormat(format!(
+            "window frame announces {len} payload bytes, expected {WINDOW_PAYLOAD_LEN}"
+        )));
+    }
+    // An epoch table carries a 4-byte epoch before the table body, shifting
+    // its method and resolution bytes (any u32 is a valid epoch).
+    let prefix = if tag == TAG_EPOCH_TABLE { EPOCH_PREFIX_LEN } else { 0 };
+    if tag != TAG_WINDOW {
+        if let Some(&method) = buf.get(HEADER_LEN + prefix) {
+            method_from(method)?;
+        }
+        if let Some(&bits) = buf.get(HEADER_LEN + prefix + 1) {
+            if !(1..=16).contains(&bits) || len != prefix + table_payload_len(bits) {
+                return Err(Error::WireFormat(format!(
+                    "table frame announces {len} payload bytes at resolution byte {bits}"
+                )));
             }
         }
-        _ => {}
     }
-    if buf.len() >= HEADER_LEN + len {
-        decode_payload(tag, &buf[HEADER_LEN..HEADER_LEN + len]).is_ok()
-    } else {
-        true
+    Ok(Some(len))
+}
+
+/// Whether `buf` could be the start of a valid frame — the resync predicate.
+///
+/// Passes [`check_frame_start`] and — when the whole frame is buffered —
+/// decodes. Prefix-only matches are accepted tentatively; later bytes may
+/// still disprove them, which simply triggers another resync.
+fn plausible_frame_at(buf: &[u8], max_frame_len: usize) -> bool {
+    // Resync scans garbage a byte at a time: reject a byte that is no tag
+    // before any error message is built.
+    if !matches!(buf.first(), Some(&(TAG_TABLE | TAG_WINDOW | TAG_EPOCH_TABLE))) {
+        return false;
+    }
+    match check_frame_start(buf, max_frame_len) {
+        Ok(Some(len)) if buf.len() >= HEADER_LEN + len => {
+            decode_payload(buf[0], &buf[HEADER_LEN..HEADER_LEN + len]).is_ok()
+        }
+        checked => checked.is_ok(),
     }
 }
 
@@ -394,21 +405,11 @@ impl FrameDecoder {
     /// [`crate::ingest::MeterIngest`] packages that loop with counters.
     pub fn next_message(&mut self) -> Result<Option<SensorMessage>> {
         let avail = &self.buf[self.pos..];
-        let Some(&tag) = avail.first() else { return Ok(None) };
-        if tag != TAG_TABLE && tag != TAG_WINDOW && tag != TAG_EPOCH_TABLE {
-            return Err(Error::WireFormat(format!("unknown frame tag {tag:#x}")));
-        }
-        if avail.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[1], avail[2], avail[3], avail[4]]) as usize;
-        if len > self.max_frame_len {
-            return Err(Error::FrameTooLarge { len, max: self.max_frame_len });
-        }
+        let Some(len) = check_frame_start(avail, self.max_frame_len)? else { return Ok(None) };
         if avail.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let msg = decode_payload(tag, &avail[HEADER_LEN..HEADER_LEN + len])?;
+        let msg = decode_payload(avail[0], &avail[HEADER_LEN..HEADER_LEN + len])?;
         self.pos += HEADER_LEN + len;
         Ok(Some(msg))
     }

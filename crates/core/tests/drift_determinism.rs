@@ -2,18 +2,22 @@
 //! provable rank-error bound on adversarial streams (constant runs,
 //! ±∞-adjacent values, heavy duplicates), its sorted view and the KS drift
 //! statistic built on it answer bit-identically to the original
-//! sort-per-query code, and epoch-versioned encodings survive a store round
+//! sort-per-query code, epoch-versioned encodings survive a store round
 //! trip — segments written under different epochs decode independently from
-//! one persisted image, byte-identically at every worker count.
+//! one persisted image, byte-identically at every worker count — and the
+//! meter and the fleet apply one cutover rule.
 
 use proptest::prelude::*;
 use sms_core::adaptive::{DriftDetector, DRIFT_SKETCH_K};
+use sms_core::alphabet::Alphabet;
+use sms_core::encoder::{SensorMessage, SensorPipeline};
 use sms_core::pipeline::CodecBuilder;
 use sms_core::segstore::SegmentStore;
 use sms_core::separators::SeparatorMethod;
 use sms_core::shard::{splitmix64, DriftConfig, ShardedEngineConfig, ShardedFleetEngine};
 use sms_core::stats::{ExactQuantiles, QuantileSketch};
 use sms_core::timeseries::TimeSeries;
+use sms_core::vertical::Aggregation;
 
 /// Stream values `<= v` under the same total order the sketch uses.
 fn true_rank_le(values: &[f64], v: f64) -> u64 {
@@ -409,4 +413,58 @@ fn epoch_segments_roundtrip_through_one_image_at_every_worker_count() {
             assert_eq!(none.len(), 0);
         }
     }
+}
+
+/// The meter and the fleet make the same cutover decisions on one house's
+/// stream: a drift-enabled sensor, and a one-shard engine seeded with the
+/// sensor's training block and then fed what the sensor replays and
+/// streams, one sample per batch. The stream holds a level shift, a second
+/// shift inside the un-armed span after the first cutover, and a return.
+#[test]
+fn the_meter_and_the_fleet_cut_over_at_the_same_samples() {
+    const HOUSE: u64 = 5;
+    const TRAIN: usize = 256;
+    let drift = DriftConfig { threshold: 0.3, window: 64 };
+    let mut values = house_chunk(HOUSE, 0, TRAIN, 0.0).values();
+    for (len, offset) in [(100, 800.0), (200, 2000.0), (1230, 0.0)] {
+        values.extend(house_chunk(HOUSE, values.len(), len, offset).values());
+    }
+    let at = |i: usize, v: &[f64]| TimeSeries::from_regular(i as i64 * 900, 900, v).unwrap();
+
+    let alphabet = Alphabet::with_size(16).unwrap();
+    let train_secs = TRAIN as i64 * 900;
+    let mut meter =
+        SensorPipeline::new(SeparatorMethod::Median, alphabet, 900, Aggregation::Mean, train_secs)
+            .unwrap()
+            .drift(drift)
+            .unwrap();
+    for (i, &v) in values[..TRAIN].iter().enumerate() {
+        assert!(meter.push(i as i64 * 900, v).unwrap().is_empty(), "training");
+    }
+
+    let builder = CodecBuilder::new().alphabet_size(16).unwrap().no_aggregation();
+    let config = ShardedEngineConfig::with_shards(1).drift(drift);
+    let mut fleet = ShardedFleetEngine::new(builder, config).unwrap();
+    fleet.encode_batch(&[(HOUSE, at(0, &values[..TRAIN]))]).unwrap();
+    for (i, &v) in values[..TRAIN].iter().enumerate() {
+        fleet.encode_batch(&[(HOUSE, at(i, &[v]))]).unwrap();
+    }
+
+    let mut meter_epoch = 0;
+    for (i, &v) in values.iter().enumerate().skip(TRAIN) {
+        for msg in meter.push(i as i64 * 900, v).unwrap() {
+            if let SensorMessage::EpochTable { epoch, .. } = msg {
+                meter_epoch = epoch;
+            }
+        }
+        fleet.encode_batch(&[(HOUSE, at(i, &[v]))]).unwrap();
+        assert_eq!(fleet.house_epoch(HOUSE), meter_epoch, "epoch after sample {i}");
+    }
+
+    let (m, f) = (meter.adaptive_stats(), fleet.adaptive_stats());
+    assert_eq!(
+        (m.rebuilds, m.suppressed_hysteresis, m.epochs_shipped, m.sketch_bytes),
+        (f.rebuilds, f.suppressed_hysteresis, f.epochs_shipped, f.sketch_bytes)
+    );
+    assert!(m.rebuilds >= 3 && m.suppressed_hysteresis > 0, "both arms of the rule ran: {m:?}");
 }

@@ -148,6 +148,9 @@ if [[ $quick -eq 0 ]]; then
     grep -q '"recovered":1' "$metrics_tmp/drift.out"
     grep -q 'post-drift recovery to within 5% of baseline: yes' "$metrics_tmp/drift.out"
     grep -q 'topology combos byte-identical' "$metrics_tmp/drift.out"
+    # The meter and fleet legs decide as before: the run's drift_bench line,
+    # which holds no timings, equals the committed one.
+    grep '^drift_bench: ' "$metrics_tmp/drift.out" | diff tests/corpus/drift/repro-drift.txt -
     cargo run -q --release -p sms-bench --bin repro -- \
         validate-metrics "$metrics_tmp/drift.out"
 else

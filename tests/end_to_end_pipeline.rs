@@ -133,37 +133,33 @@ fn truncation_equals_coarse_reencoding_on_real_data() {
 
 #[test]
 fn adaptive_encoder_handles_generated_regime_change() {
-    use smart_meter_symbolics::core::adaptive::AdaptiveEncoder;
+    use smart_meter_symbolics::core::adaptive::DriftConfig;
 
-    // Two different houses spliced: distribution changes at the seam.
+    // Two different houses spliced: distribution changes at the seam. The
+    // sensor trains on the small house's first day.
     let ds = redd_like(3, 2, 30).generate().unwrap();
     let small = ds.house(2).unwrap();
     let big = ds.house(6).unwrap();
-    let train = small.head_duration(86_400).values();
-    let table =
-        LookupTable::learn(SeparatorMethod::Median, Alphabet::with_size(8).unwrap(), &train)
+    let alphabet = Alphabet::with_size(8).unwrap();
+    let mut enc =
+        SensorPipeline::new(SeparatorMethod::Median, alphabet, 900, Aggregation::Mean, 86_400)
+            .unwrap()
+            .drift(DriftConfig { threshold: 0.3, window: 1000 })
             .unwrap();
-    let mut enc = AdaptiveEncoder::new(
-        table,
-        train,
-        SeparatorMethod::Median,
-        900,
-        Aggregation::Mean,
-        0.3,
-        1000,
-    )
-    .unwrap();
     let mut t = 0i64;
     for (_, v) in small.iter() {
         enc.push(t, v).unwrap();
         t += 30;
     }
-    let before = enc.stats().rebuilds;
+    let before = enc.adaptive_stats().rebuilds;
     for (_, v) in big.iter() {
         enc.push(t, v * 3.0).unwrap();
         t += 30;
     }
-    assert!(enc.stats().rebuilds > before, "splice to a 3× bigger house must trigger a rebuild");
+    assert!(
+        enc.adaptive_stats().rebuilds > before,
+        "splice to a 3× bigger house must trigger a rebuild"
+    );
 }
 
 #[test]

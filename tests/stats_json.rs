@@ -137,7 +137,6 @@ fn populated() -> EngineStats {
             sketch_bytes: 83,
             samples: 84,
             symbols: 85,
-            cutover_lag: hist(&[1000]),
         }),
         house_samples: hist(&[2000, 2000, 2000]),
         house_symbols: hist(&[200, 200, 200]),
@@ -198,9 +197,7 @@ fn to_json_pins_every_block_byte_for_byte() {
         "\"sms_pool_job_attempts\":{\"unit\":\"attempts\",\"count\":3,\"sum\":4,",
         "\"buckets\":[0,2,1]},",
         "\"sms_quality_house_defects\":{\"unit\":\"defects\",\"count\":2,\"sum\":7,",
-        "\"buckets\":[1,0,0,1]},",
-        "\"sms_adaptive_cutover_lag\":{\"unit\":\"samples\",\"count\":1,\"sum\":1000,",
-        "\"buckets\":[0,0,0,0,0,0,0,0,0,0,1]}},",
+        "\"buckets\":[1,0,0,1]}},",
         "\"spans\":[{\"path\":\"encode_fleet\",\"calls\":86,\"secs\":8.5}]}",
     );
     assert_eq!(populated().to_json(), want);
